@@ -62,15 +62,6 @@ POOL_STAGES = 5  # both nets shrink by 2**5, so inputs must divide by 32
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """One row of an architecture summary."""
-
-    kind: str                      # conv | pool | upsample | activation | gap | concat | add
-    feature_maps: int
-    kernel: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
 class IRRUConfig:
     in_channels: int
     out_channels: int
@@ -292,7 +283,6 @@ class Irrcnn:
         _check_pool_divisibility(h, w)
         self.config = config
         self.params = ParamStore()
-        self.layer_specs: list[LayerSpec] = []
 
         widths = [scaled_width(b, config.width_scale) for b in config.irru_widths]
         self.units = []
@@ -302,15 +292,11 @@ class Irrcnn:
                         store=self.params, prefix=f"unit{i}",
                         seed=derive_seed(seed, i))
             self.units.append(unit)
-            self.layer_specs.append(LayerSpec("conv", c_out, (3, 3)))
-            self.layer_specs.append(LayerSpec("pool", c_out, None))
             c_in = c_out
         k = config.num_classes
         self.fc_w = self.params.add("fc.weight", he_init(
             (c_in, k), c_in, derive_seed(seed, 1000), requires_grad=True))
         self.fc_b = self.params.add("fc.bias", Tensor(np.zeros(k), requires_grad=True))
-        self.layer_specs.append(LayerSpec("gap", c_in, None))
-        self.layer_specs.append(LayerSpec("activation", k, None))
 
     def forward(self, batch: Tensor) -> Tensor:
         _check_batch_shape(batch, self.config.input_shape, "irrcnn")
@@ -332,7 +318,6 @@ class Nabla3:
         _check_pool_divisibility(h, w)
         self.config = config
         self.params = ParamStore()
-        self.layer_specs: list[LayerSpec] = []
 
         widths = [scaled_width(b, config.width_scale) for b in config.encoder_widths]
         self.widths = widths
@@ -344,9 +329,6 @@ class Nabla3:
                 requires_grad=True))
             bt = self.params.add(f"enc{i}.bias", Tensor(np.zeros(c_out), requires_grad=True))
             self.enc.append((wt, bt))
-            self.layer_specs.append(LayerSpec("conv", c_out, (3, 3)))
-            if i <= POOL_STAGES:
-                self.layer_specs.append(LayerSpec("pool", c_out, None))
             c_in = c_out
 
         # decoder paths start at the bottleneck (stage 6) and stages 5 and 4;
@@ -362,18 +344,13 @@ class Nabla3:
                 bt = self.params.add(f"dec{d}.step{j}.bias",
                                      Tensor(np.zeros(c_out), requires_grad=True))
                 steps.append((wt, bt))
-                self.layer_specs.append(LayerSpec("upsample", c_out, None))
-                self.layer_specs.append(LayerSpec("conv", c_out, (3, 3)))
                 c_prev = c_out
             self.decoders.append((start_stage, steps))
-        self.layer_specs.append(LayerSpec("concat", 3 * widths[0], None))
 
         self.head_w = self.params.add("head.weight", he_init(
             (1, 3 * widths[0], 1, 1), 3 * widths[0], derive_seed(seed, 9000),
             requires_grad=True))
         self.head_b = self.params.add("head.bias", Tensor(np.zeros(1), requires_grad=True))
-        self.layer_specs.append(LayerSpec("conv", 1, (1, 1)))
-        self.layer_specs.append(LayerSpec("activation", 1, None))
 
     def forward(self, batch: Tensor) -> Tensor:
         _check_batch_shape(batch, self.config.input_shape, "nabla3")

@@ -58,10 +58,6 @@ class DetRng:
     def seed(self) -> int:
         return self._seed
 
-    def spawn(self, key: int) -> "DetRng":
-        """Independent substream; does not advance this stream."""
-        return DetRng(derive_seed(self._seed, key))
-
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n

@@ -49,7 +49,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.grad: np.ndarray | None = None
-        self._tape: "Tape | None" = None
+        self._tape: object | None = None   # the recording Tape's marker
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,6 +104,11 @@ class Tape:
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._spent = False
+        # recorded outputs point at this marker, not at the tape: the tape
+        # holds its outputs, so a back-reference would make a cycle that
+        # keeps a spent tape and its closures alive until the cyclic
+        # collector runs
+        self._mark = object()
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -145,7 +150,7 @@ class Tape:
             for parent, pg in zip(parents, backward_fn(g)):
                 if pg is None:
                     continue
-                if not (parent.requires_grad or parent._tape is self):
+                if not (parent.requires_grad or parent._tape is self._mark):
                     continue
                 held = buffers.get(id(parent))
                 buffers[id(parent)] = pg if held is None else held + pg
@@ -161,8 +166,8 @@ class Tape:
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     tape = _active_tape()
-    if tape is not None and any(p.requires_grad or p._tape is tape for p in parents):
-        out._tape = tape
+    if tape is not None and any(p.requires_grad or p._tape is tape._mark for p in parents):
+        out._tape = tape._mark
         tape._nodes.append((out, parents, backward_fn))
     return out
 
@@ -247,16 +252,17 @@ def _spatial(x: Tensor, op: str) -> tuple[np.ndarray, bool]:
 
 def _conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int,
                oh: int, ow: int) -> np.ndarray:
+    """im2col of [B, C, H, W] into [B, C*kh*kw, oh*ow].
+
+    Row ``(c*kh + a)*kw + b``, column ``i*ow + j`` holds
+    ``xp[:, c, stride*i + a, stride*j + b]``.
+    """
     b, c = xp.shape[:2]
-    i0 = np.repeat(np.arange(kh), kw)
-    j0 = np.tile(np.arange(kw), kh)
-    i1 = stride * np.repeat(np.arange(oh), ow)
-    j1 = stride * np.tile(np.arange(ow), oh)
-    rows = i0[:, None] + i1[None, :]
-    cols = j0[:, None] + j1[None, :]
-    # the gather yields a batch-layout-dependent view; force one layout so
-    # identical samples hit identical GEMM paths for every batch size
-    patches = np.ascontiguousarray(xp[:, :, rows, cols])  # [B, C, kh*kw, oh*ow]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, :stride * oh:stride, :stride * ow:stride]
+    # a copy in one fixed layout, so identical samples hit identical GEMM
+    # paths for every batch size
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return patches.reshape(b, c * kh * kw, oh * ow)
 
 
@@ -266,6 +272,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
 
     ``kernels`` is [C_out, C_in, kH, kW]; ``bias`` is [C_out].  Output
     spatial size is floor((H + 2*padding - kH)/stride) + 1.
+
+    Forward and both weight gradients are per-sample GEMMs over the im2col
+    matrix.  The input gradient is the full correlation of the output
+    gradient (zero-dilated by ``stride``) with the flipped, channel-swapped
+    kernels, through the same im2col and GEMM.  The backward closure
+    retains only the padded input, not the kH*kW-times larger column
+    matrix; backward rebuilds the columns from it.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -288,25 +301,32 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = xd
+    if padding:
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = _conv_cols(xp, kh, kw, stride, oh, ow)  # [B, C*kh*kw, oh*ow]
     wmat = kernels.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(wmat, cols) + bias.data[:, None]
+    out = np.matmul(wmat, cols)
+    del cols
+    out += bias.data[:, None]
     out = out.reshape(b, c_out, oh, ow)
 
     def backward(g):
-        gf = g.reshape(b, c_out, oh * ow) if batched else g.reshape(1, c_out, oh * ow)
-        dw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0)
+        gf = g.reshape(b, c_out, oh * ow)
+        dw = np.matmul(gf, _conv_cols(xp, kh, kw, stride, oh, ow).transpose(0, 2, 1))
+        dw = dw.sum(axis=0)
         db = gf.sum(axis=(0, 2))
-        dcols = np.matmul(wmat.T, gf).reshape(b, c_in, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
-        for a in range(kh):
-            for bb in range(kw):
-                dxp[:, :, a:a + stride * oh:stride,
-                    bb:bb + stride * ow:stride] += dcols[:, :, a, bb]
-        dx = dxp[:, :, padding:padding + h, padding:padding + w]
-        return ((dx if batched else dx[0]).copy(),
-                dw.reshape(kernels.shape), db)
+        # dx is the full correlation of the gradient, zero-dilated by the
+        # stride and zero-padded by k-1, with the flipped kernels; the crop
+        # drops the rows and columns that fall on the input's zero padding
+        gz = np.zeros((b, c_out, hp + kh - 1, wp + kw - 1))
+        gz[:, :, kh - 1:kh - 1 + stride * oh:stride,
+           kw - 1:kw - 1 + stride * ow:stride] = g.reshape(b, c_out, oh, ow)
+        gz = gz[:, :, padding:padding + h + kh - 1, padding:padding + w + kw - 1]
+        wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = np.matmul(wflip.reshape(c_in, c_out * kh * kw),
+                       _conv_cols(gz, kh, kw, 1, h, w)).reshape(b, c_in, h, w)
+        return (dx if batched else dx[0]), dw.reshape(kernels.shape), db
 
     return _record(Tensor(out if batched else out[0]), (x, kernels, bias), backward)
 

@@ -27,6 +27,7 @@ from chestkit.models import (
 )
 from chestkit.rng import DetRng
 from chestkit.tensor import Tape, Tensor, conv2d, relu, sum_all
+from chestkit.training import get_preset
 
 from conftest import rel_error
 
@@ -232,6 +233,14 @@ def test_nabla3_desk_config():
     out = model.forward(rand_image((1, 32, 32), seed=34))
     assert out.shape == (1, 32, 32)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+
+
+def test_nabla3_seg_desk_batch_of_one_matches_row_of_batch_bitwise():
+    model = build_nabla3(get_preset("seg-desk").model, seed=36)
+    batch = rand_image((4, 1, 64, 64), seed=37)
+    full = model.forward(batch).data
+    for i in range(4):
+        assert np.array_equal(full[i], model.forward(Tensor(batch.data[i])).data)
 
 
 def test_nabla3_rejects_indivisible_input():

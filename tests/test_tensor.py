@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from chestkit.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _conv_cols,
     add,
     concat_channels,
     conv2d,
@@ -120,6 +123,81 @@ def test_conv2d_stride_two_output_size():
     k = Tensor(np.ones((1, 1, 3, 3)))
     out = conv2d(img, k, Tensor(np.zeros(1)), stride=2)
     assert out.shape == (1, 3, 3)
+
+
+# (kernel, stride, padding, input side): stride 2 dilates the gradient and
+# leaves the last padded row unread; 1x1/pad 0 is the segmenter head; 3x3/pad 2
+# and 1x1/pad 1 crop gradient rows that fall on the zero padding
+GRADIENT_GEOMETRIES = [(3, 2, 1, 6), (1, 1, 0, 5), (3, 1, 2, 4), (1, 2, 1, 5)]
+
+
+@pytest.mark.parametrize("k,stride,padding,side", GRADIENT_GEOMETRIES)
+def test_conv2d_geometry_gradients_match_finite_differences(k, stride, padding, side):
+    x = rand_tensor((2, side, side), seed=10, requires_grad=True)
+    kern = rand_tensor((3, 2, k, k), seed=11, requires_grad=True)
+    b = rand_tensor((3,), seed=12, requires_grad=True)
+    oh = (side + 2 * padding - k) // stride + 1
+    # a non-uniform upstream gradient, so each output pixel weighs differently
+    upstream = rand_tensor((3, oh, oh), seed=13)
+    with Tape() as tape:
+        loss = sum_all(mul(conv2d(x, kern, b, stride=stride, padding=padding), upstream))
+    grads = tape.backward(loss)
+
+    def forward():
+        out = conv2d(x, kern, b, stride=stride, padding=padding)
+        return float((out.data * upstream.data).sum())
+
+    for t in (x, kern, b):
+        assert rel_error(grads[t], numeric_grad(forward, t)) < 1e-3
+
+
+def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
+    batch = rand_tensor((4, 2, 8, 8), seed=14)
+    k = rand_tensor((3, 2, 3, 3), seed=15, requires_grad=True)
+    b = rand_tensor((3,), seed=16, requires_grad=True)
+    upstream = rand_tensor((4, 3, 8, 8), seed=17)
+
+    def input_grad(x, g):
+        x = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(conv2d(x, k, b, padding=1), Tensor(g)))
+        return tape.backward(loss)[x]
+
+    full = input_grad(batch.data, upstream.data)
+    for i in range(4):
+        assert np.array_equal(full[i], input_grad(batch.data[i], upstream.data[i]))
+
+
+# ---------------------------------------------------------------------------
+# im2col against a brute-force oracle
+
+
+def conv_cols_brute(xp, kh, kw, stride, oh, ow):
+    """Fancy-index gather: row (c*kh + a)*kw + b, column i*ow + j holds
+    xp[:, c, stride*i + a, stride*j + b]."""
+    b, c = xp.shape[:2]
+    i0 = np.repeat(np.arange(kh), kw)
+    j0 = np.tile(np.arange(kw), kh)
+    i1 = stride * np.repeat(np.arange(oh), ow)
+    j1 = stride * np.tile(np.arange(ow), oh)
+    rows = i0[:, None] + i1[None, :]
+    cols = j0[:, None] + j1[None, :]
+    patches = np.ascontiguousarray(xp[:, :, rows, cols])  # [B, C, kh*kw, oh*ow]
+    return patches.reshape(b, c * kh * kw, oh * ow)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 1, 1), (3, 1, 2),
+                                              (3, 2, 1), (5, 1, 2)])
+def test_conv_cols_byte_equal_to_brute_gather(k, stride, padding, batch):
+    x = rand_tensor((batch, 3, 9, 7), seed=18).data
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (9 + 2 * padding - k) // stride + 1
+    ow = (7 + 2 * padding - k) // stride + 1
+    fast = _conv_cols(xp, k, k, stride, oh, ow)
+    brute = conv_cols_brute(xp, k, k, stride, oh, ow)
+    assert fast.shape == brute.shape and fast.flags.c_contiguous
+    assert fast.tobytes() == brute.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +540,26 @@ def test_ops_do_not_record_without_tape():
     x = Tensor([1.0, 2.0], requires_grad=True)
     out = relu(x)
     assert out._tape is None
+
+
+def test_spent_tape_is_freed_by_reference_counting():
+    x = rand_tensor((2, 1, 6, 6), seed=39)
+    k = rand_tensor((2, 1, 3, 3), seed=40, requires_grad=True)
+    b = rand_tensor((2,), seed=41, requires_grad=True)
+
+    def step():
+        with Tape() as tape:
+            loss = sum_all(relu(conv2d(x, k, b, padding=1)))
+        tape.backward(loss)
+        return weakref.ref(tape)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert step()() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
