@@ -26,7 +26,6 @@ from .models import (
     build_irrcnn,
     build_irru,
     build_nabla3,
-    forward,
     load_weights,
     param_count,
     recurrent_conv,

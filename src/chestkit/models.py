@@ -401,11 +401,6 @@ def build_model(config: ModelConfig, seed: int = 0) -> ModelGraph:
     return Nabla3(config, seed=seed)
 
 
-def forward(model: ModelGraph, batch: Tensor) -> Tensor:
-    """Run the model; record on the active Tape if one is open."""
-    return model.forward(batch)
-
-
 def param_count(model) -> int:
     store = model.params if hasattr(model, "params") else model
     return sum(t.size for _, t in store.items())
@@ -491,14 +486,23 @@ def load_weights(source) -> ParamStore:
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         if name_len == 0:
             raise WeightFormatError("zero-length parameter name")
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        try:
+            name = bytes(take(name_len, "name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WeightFormatError(f"parameter name is not UTF-8: {exc}") from exc
         (ndim,) = struct.unpack("<I", take(4, "rank"))
         if ndim == 0:
             raise WeightFormatError(f"parameter {name!r} has empty shape")
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        n_values = int(np.prod(dims))
+        if 0 in dims:
+            raise WeightFormatError(f"parameter {name!r} has zero-size shape {dims}")
+        # Python ints: a product of u32 dims cannot wrap, so a huge shape
+        # fails the length check in take() instead of a reshape
+        n_values = math.prod(dims)
         values = np.frombuffer(take(4 * n_values, f"values of {name!r}"),
                                dtype="<f4").astype(np.float64).reshape(dims)
+        if not np.isfinite(values).all():
+            raise WeightFormatError(f"parameter {name!r} holds NaN or Inf values")
         if name in store:
             raise DuplicateNameError(f"duplicate parameter name {name!r} in file")
         store.add(name, Tensor(values))

@@ -124,44 +124,76 @@ class Region:
         return out
 
 
-_OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+# neighbours that come later in raster order: right and down, then the
+# two lower diagonals; each adjacent pair is listed once, from its first pixel
+_LATER_NEIGHBOURS = {4: ((0, 1), (1, 0)), 8: ((0, 1), (1, 0), (1, 1), (1, -1))}
+
+
+def _adjacent_pairs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (a, b), a < b, of every pair of adjacent true pixels."""
+    h, w = mask.shape
+    index = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    firsts, seconds = [], []
+    for dr, dc in _LATER_NEIGHBOURS[connectivity]:
+        lo, hi = max(0, -dc), w - max(0, dc)     # columns whose neighbour is inside
+        both = mask[:h - dr, lo:hi] & mask[dr:, lo + dc:hi + dc]
+        first = index[:h - dr, lo:hi][both]
+        firsts.append(first)
+        seconds.append(first + (dr * w + dc))
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Region]:
-    """Label components; largest first, ties by bounding-box top-left."""
+    """Label the components of true pixels.
+
+    Regions come largest first; ties go to the smaller bounding-box top,
+    then the smaller bounding-box left, then the region whose first pixel
+    comes first in raster order. Ids count from 1 in that order.
+
+    Labelling is whole-array union-find (Shiloach & Vishkin's hook and
+    pointer jump). Each round hooks every root that an adjacent pair joins
+    to a smaller root onto the smallest such root, then jumps pointers
+    until every pixel points at its root; rounds repeat until no adjacent
+    pair joins two roots. The root of a component is then its first pixel
+    in raster order.
+    """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     mask = _as_mask(mask)
     h, w = mask.shape
-    offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
-    seen = np.zeros_like(mask)
-    raw: list[tuple[int, tuple[int, int, int, int], list[int]]] = []
-    for sr in range(h):
-        for sc in range(w):
-            if not mask[sr, sc] or seen[sr, sc]:
-                continue
-            stack = [(sr, sc)]
-            seen[sr, sc] = True
-            members: list[int] = []
-            top, left, bottom, right = sr, sc, sr, sc
-            while stack:
-                r, c = stack.pop()
-                members.append(r * w + c)
-                top, bottom = min(top, r), max(bottom, r)
-                left, right = min(left, c), max(right, c)
-                for dr, dc in offsets:
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not seen[nr, nc]:
-                        seen[nr, nc] = True
-                        stack.append((nr, nc))
-            raw.append((len(members), (top, left, bottom, right), members))
-    raw.sort(key=lambda item: (-item[0], item[1][0], item[1][1]))
+    a, b = _adjacent_pairs(mask, connectivity)
+    parent = np.arange(h * w, dtype=np.int64)
+    while True:
+        root_a, root_b = parent[a], parent[b]
+        apart = root_a != root_b
+        if not apart.any():
+            break
+        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+    pixels = np.flatnonzero(mask)
+    if pixels.size == 0:
+        return []
+    roots, label, counts = np.unique(parent[pixels], return_inverse=True,
+                                     return_counts=True)
+    grouped = pixels[np.argsort(label, kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    rows, cols = np.divmod(grouped, w)
+    top, bottom = rows[starts], rows[starts + counts - 1]
+    left = np.minimum.reduceat(cols, starts)
+    right = np.maximum.reduceat(cols, starts)
+    order = np.lexsort((roots, left, top, -counts))
     return [
-        Region(id=i + 1, pixel_count=count, bbox=bbox,
-               pixels=np.array(sorted(members), dtype=np.int64),
+        Region(id=i + 1, pixel_count=int(counts[k]),
+               bbox=(int(top[k]), int(left[k]), int(bottom[k]), int(right[k])),
+               pixels=grouped[starts[k]:starts[k] + counts[k]],
                image_shape=(h, w))
-        for i, (count, bbox, members) in enumerate(raw)
+        for i, k in enumerate(order.tolist())
     ]
 
 

@@ -1,9 +1,11 @@
 """Losses, optimizer, schedules, data handling, and the training loop.
 
 Training is a pure function of (initial weights, dataset, config, seed):
-shuffling, augmentation, and initialization all draw from the
-deterministic generator in :mod:`chestkit.rng`, so two runs with the same
-inputs produce byte-identical weight files.
+shuffling and initialization draw from the deterministic generator in
+:mod:`chestkit.rng`, so two runs with the same inputs produce
+byte-identical weight files. ``train`` does not augment: augmentation runs
+only in ``balance_classes``, which tops up the minority classes with
+augmented copies (seeded the same way) before training starts.
 
 Fixed constants (the source material names the methods but not the
 numbers): Adam uses beta1 0.9, beta2 0.999, eps 1e-8; cross-entropy clamps

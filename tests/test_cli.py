@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from chestkit.imaging import load_image, load_mask
 from chestkit.models import load_weights
 from chestkit.postproc import report_from_text
 from chestkit.metrics import metrics_from_text
+
+from test_models import one_tensor_file
 
 
 def gen(tmp_path, kind="classification", count=16, size=32, seed=3, name="data"):
@@ -291,3 +295,18 @@ def test_eval_missing_labels_is_data_error(tmp_path):
                 "--weights", str(out / "weights.cmtw"),
                 "--out", str(tmp_path / "e")])
     assert code == 3
+
+
+@pytest.mark.parametrize("payload", [
+    one_tensor_file(b"w", (2 ** 31, 2 ** 31, 4), b""),
+    one_tensor_file(b"\xff", (1,), struct.pack("<f", 1.0)),
+    one_tensor_file(b"w", (0,), b""),
+    one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, float("nan"))),
+], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan"])
+def test_eval_malformed_weights_is_model_error(tmp_path, payload):
+    data = gen(tmp_path, kind="segmentation", count=4, size=32)
+    bad = tmp_path / "bad.cmtw"
+    bad.write_bytes(payload)
+    code = run(["eval", "--task", "segmentation", "--dataset", str(data),
+                "--weights", str(bad), "--out", str(tmp_path / "e")])
+    assert code == 4

@@ -361,6 +361,46 @@ def test_weight_file_zero_length_name_rejected():
         load_weights(io.BytesIO(payload))
 
 
+def one_tensor_file(name: bytes, dims: tuple[int, ...], values: bytes) -> bytes:
+    """A CMTW file holding one tensor, written field by field."""
+    return (b"CMTW" + struct.pack("<II", 1, 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+            + values)
+
+
+def test_weight_file_overflowing_dims_are_truncation():
+    # 2**31 * 2**31 * 4 wraps to 0 in int64
+    payload = one_tensor_file(b"w", (2 ** 31, 2 ** 31, 4), b"")
+    with pytest.raises(WeightTruncatedError):
+        load_weights(io.BytesIO(payload))
+
+
+def test_weight_file_non_utf8_name_rejected():
+    payload = one_tensor_file(b"\xff", (1,), struct.pack("<f", 1.0))
+    with pytest.raises(WeightFormatError):
+        load_weights(io.BytesIO(payload))
+
+
+def test_weight_file_zero_size_dims_rejected():
+    with pytest.raises(WeightFormatError):
+        load_weights(io.BytesIO(one_tensor_file(b"w", (0,), b"")))
+    with pytest.raises(WeightFormatError):
+        load_weights(io.BytesIO(one_tensor_file(b"w", (3, 0), b"")))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_weight_file_non_finite_values_rejected(bad):
+    payload = one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, bad))
+    with pytest.raises(WeightFormatError):
+        load_weights(io.BytesIO(payload))
+
+
+def test_weight_file_writer_helper_loads_when_well_formed():
+    payload = one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, -2.0))
+    store = load_weights(io.BytesIO(payload))
+    assert np.array_equal(store["w"].data, [1.0, -2.0])
+
+
 def test_store_rejects_duplicate_and_empty_names():
     store = ParamStore()
     store.add("a", Tensor(np.zeros(1)))

@@ -4,6 +4,7 @@ import pytest
 from chestkit.postproc import (
     InfectionReport,
     OracleSegmenter,
+    Region,
     adaptive_threshold,
     apply_mask,
     binarize,
@@ -67,6 +68,47 @@ def dilate_brute(mask, se):
                         hit = True
             out[i, j] = hit
     return out
+
+
+_OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+_OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def connected_components_brute(mask: np.ndarray, connectivity: int = 8) -> list[Region]:
+    """Label components; largest first, ties by bounding-box top-left."""
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    mask = np.asarray(mask).astype(bool)
+    h, w = mask.shape
+    offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
+    seen = np.zeros_like(mask)
+    raw: list[tuple[int, tuple[int, int, int, int], list[int]]] = []
+    for sr in range(h):
+        for sc in range(w):
+            if not mask[sr, sc] or seen[sr, sc]:
+                continue
+            stack = [(sr, sc)]
+            seen[sr, sc] = True
+            members: list[int] = []
+            top, left, bottom, right = sr, sc, sr, sc
+            while stack:
+                r, c = stack.pop()
+                members.append(r * w + c)
+                top, bottom = min(top, r), max(bottom, r)
+                left, right = min(left, c), max(right, c)
+                for dr, dc in offsets:
+                    nr, nc = r + dr, c + dc
+                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not seen[nr, nc]:
+                        seen[nr, nc] = True
+                        stack.append((nr, nc))
+            raw.append((len(members), (top, left, bottom, right), members))
+    raw.sort(key=lambda item: (-item[0], item[1][0], item[1][1]))
+    return [
+        Region(id=i + 1, pixel_count=count, bbox=bbox,
+               pixels=np.array(sorted(members), dtype=np.int64),
+               image_shape=(h, w))
+        for i, (count, bbox, members) in enumerate(raw)
+    ]
 
 
 def adaptive_brute(img, roi, window, offset):
@@ -267,6 +309,69 @@ def test_region_bbox_matches_extent():
     mask[2:5, 1:4] = True
     region = connected_components(mask)[0]
     assert region.bbox == (2, 1, 4, 3)
+
+
+def assert_same_regions(got, want):
+    assert len(got) == len(want)
+    for g, e in zip(got, want):
+        assert (g.id, g.pixel_count, g.bbox, g.image_shape) == \
+            (e.id, e.pixel_count, e.bbox, e.image_shape)
+        assert g.pixels.dtype == e.pixels.dtype == np.int64
+        assert np.array_equal(g.pixels, e.pixels)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 5), (33, 17), (64, 64)])
+def test_connected_components_match_brute_force(shape, connectivity):
+    for k, density in enumerate((0.0, 0.1, 0.3, 0.45, 0.6, 0.9, 1.0)):
+        for seed in range(3):
+            mask = random_mask(3000 + 10 * k + seed, *shape, density=density)
+            assert_same_regions(connected_components(mask, connectivity),
+                                connected_components_brute(mask, connectivity))
+
+
+@pytest.mark.parametrize("density", [0.3, 0.45, 0.6])
+def test_connected_components_match_brute_force_at_256(density):
+    mask = random_mask(3100, 256, 256, density=density)
+    for connectivity in (4, 8):
+        assert_same_regions(connected_components(mask, connectivity),
+                            connected_components_brute(mask, connectivity))
+
+
+def serpentine(h, w):
+    """Even rows filled, joined at alternating ends: one long 4-connected chain."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for r in range(1, h, 2):
+        mask[r, w - 1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+def test_connected_components_serpentine_is_one_chain():
+    mask = serpentine(63, 64)
+    for connectivity in (4, 8):
+        regions = connected_components(mask, connectivity)
+        assert len(regions) == 1
+        assert regions[0].pixel_count == int(mask.sum())
+        assert_same_regions(regions, connected_components_brute(mask, connectivity))
+
+
+def test_connected_components_tie_goes_to_first_pixel_in_raster_order():
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[0:3, 0:3] = True        # block: 9 px, bbox (0, 0, 2, 2)
+    mask[0:5, 4] = True          # L: 9 px, bbox (0, 0, 4, 4)
+    mask[4, 0:4] = True
+    for connectivity in (4, 8):
+        regions = connected_components(mask, connectivity)
+        assert [r.pixel_count for r in regions] == [9, 9]
+        assert [r.bbox for r in regions] == [(0, 0, 2, 2), (0, 0, 4, 4)]
+        assert regions[0].pixels[0] == 0 and regions[1].pixels[0] == 4
+        assert_same_regions(regions, connected_components_brute(mask, connectivity))
+
+
+def test_connected_components_rejects_bad_connectivity():
+    with pytest.raises(ValueError):
+        connected_components(np.ones((3, 3), dtype=bool), connectivity=6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chestkit import synthdata
 from chestkit.metrics import dice
 from chestkit.postproc import (
     OracleSegmenter,
@@ -24,6 +25,8 @@ from chestkit.synthdata import (
     write_infection_corpus,
     write_segmentation_corpus,
 )
+
+from test_postproc import connected_components_brute
 
 
 def test_spec_validation():
@@ -155,6 +158,19 @@ def test_infection_deterministic():
     b = gen_infection_set(spec)
     for x, y in zip(a, b):
         assert np.array_equal(x.image, y.image)
+        assert x.report == y.report
+
+
+def test_infection_set_unchanged_under_flood_fill_labelling(monkeypatch):
+    spec = SynthSpec(count=4, size=128, seed=31)
+    fast = gen_infection_set(spec)
+    monkeypatch.setattr(synthdata, "connected_components", connected_components_brute)
+    slow = gen_infection_set(spec)
+    assert len(fast) == len(slow) == 4
+    for x, y in zip(fast, slow):
+        assert x.image.tobytes() == y.image.tobytes()
+        assert x.lung_mask.tobytes() == y.lung_mask.tobytes()
+        assert x.infected_mask.tobytes() == y.infected_mask.tobytes()
         assert x.report == y.report
 
 
