@@ -4,7 +4,7 @@ Trains the desk segmenter on synthetic infection images, then runs the
 full classical chain and compares the reported infection percentage with
 the exact ground truth.
 
-Run:  python demos/demo_segment_and_quantify.py   (about a minute)
+Run:  python demos/demo_segment_and_quantify.py   (about 5 s)
 """
 
 from pathlib import Path

@@ -3,7 +3,7 @@
 Class 0 images are smooth radial-gradient backgrounds; class 1 adds
 bright soft opacities.  A few epochs separate them completely.
 
-Run:  python demos/demo_train_classifier.py   (about a minute)
+Run:  python demos/demo_train_classifier.py   (about 5 s)
 """
 
 from chestkit import SynthSpec, gen_classification_set, split_dataset, train

@@ -1,7 +1,7 @@
 """Transfer learning: a donor pretrained on one synthetic task reaches 90%
 on a related task in fewer epochs than training from scratch.
 
-Run:  python demos/demo_transfer_learning.py   (about two minutes)
+Run:  python demos/demo_transfer_learning.py   (about 20 s)
 """
 
 from chestkit import SynthSpec, gen_classification_set, split_dataset, train, transfer_init

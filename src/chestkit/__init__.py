@@ -58,6 +58,7 @@ from .tensor import Tape, Tensor, he_init
 from .training import (
     LabeledDataset,
     TrainConfig,
+    TrainingDivergedError,
     adam_step,
     augment,
     balance_classes,

@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, train, transfer, pipeline, eval.  Exit codes are a
 stable contract: 0 success, 2 argument error, 3 data error, 4
-model/weights error.  Every command is deterministic given identical
-arguments, files, and seed, and writes only under --out.
+model/weights error, 5 training diverged.  Every command is deterministic
+given identical arguments, files, and seed, and writes only under --out.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .synthdata import (
 from .tensor import ShapeError
 from .training import (
     LabeledDataset,
+    TrainingDivergedError,
     balance_classes,
     get_preset,
     history_to_text,
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
+EXIT_DIVERGED = 5
 
 
 class CliError(Exception):
@@ -87,7 +89,18 @@ def _load_train_set(dataset_root: str, loss: str) -> LabeledDataset:
         raise CliError(EXIT_DATA, f"cannot load dataset: {exc}") from exc
 
 
-def _write_training_outputs(out: Path, preset, store, history) -> None:
+def _fit(args, preset, model) -> None:
+    """Train ``model`` on ``--dataset`` and write the outputs to ``--out``;
+    a diverged run writes nothing."""
+    ds = _load_train_set(args.dataset, preset.train.loss)
+    if preset.train.loss == "cross_entropy":
+        ds = balance_classes(ds, seed=preset.train.seed)
+    ds = _resize_dataset(ds, preset.model.input_shape[1])
+    try:
+        store, history = train(model, ds, preset.train)
+    except TrainingDivergedError as exc:
+        raise CliError(EXIT_DIVERGED, str(exc)) from exc
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(store, out / "weights.cmtw")
     (out / "history.txt").write_text(history_to_text(history))
@@ -129,13 +142,7 @@ def _resolve_preset(args):
 
 def cmd_train(args) -> int:
     preset = _resolve_preset(args)
-    ds = _load_train_set(args.dataset, preset.train.loss)
-    if preset.train.loss == "cross_entropy":
-        ds = balance_classes(ds, seed=preset.train.seed)
-    ds = _resize_dataset(ds, preset.model.input_shape[1])
-    model = build_model(preset.model, seed=preset.train.seed)
-    store, history = train(model, ds, preset.train)
-    _write_training_outputs(Path(args.out), preset, store, history)
+    _fit(args, preset, build_model(preset.model, seed=preset.train.seed))
     print(f"trained {preset.name} for {preset.train.epochs} epochs; "
           f"weights in {args.out}")
     return EXIT_OK
@@ -155,12 +162,7 @@ def cmd_transfer(args) -> int:
                       seed=preset.train.seed)
     except (KeyError, ShapeError) as exc:
         raise CliError(EXIT_MODEL, f"transfer failed: {exc}") from exc
-    ds = _load_train_set(args.dataset, preset.train.loss)
-    if preset.train.loss == "cross_entropy":
-        ds = balance_classes(ds, seed=preset.train.seed)
-    ds = _resize_dataset(ds, preset.model.input_shape[1])
-    store, history = train(model, ds, preset.train)
-    _write_training_outputs(Path(args.out), preset, store, history)
+    _fit(args, preset, model)
     print(f"fine-tuned from {args.donor_weights} for {preset.train.epochs} epochs")
     return EXIT_OK
 

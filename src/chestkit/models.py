@@ -434,6 +434,10 @@ class WeightTruncatedError(WeightFileError):
     """File ended before the declared payload."""
 
 
+class DuplicateWeightNameError(WeightFormatError, DuplicateNameError):
+    """A weight file names one parameter twice."""
+
+
 def save_weights(store: ParamStore, destination) -> None:
     """Write a ParamStore to a path or binary stream (float32 payload)."""
     buf = io.BytesIO()
@@ -504,7 +508,7 @@ def load_weights(source) -> ParamStore:
         if not np.isfinite(values).all():
             raise WeightFormatError(f"parameter {name!r} holds NaN or Inf values")
         if name in store:
-            raise DuplicateNameError(f"duplicate parameter name {name!r} in file")
+            raise DuplicateWeightNameError(f"duplicate parameter name {name!r} in file")
         store.add(name, Tensor(values))
     return store
 

@@ -255,9 +255,13 @@ def _conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int,
     """im2col of [B, C, H, W] into [B, C*kh*kw, oh*ow].
 
     Row ``(c*kh + a)*kw + b``, column ``i*ow + j`` holds
-    ``xp[:, c, stride*i + a, stride*j + b]``.
+    ``xp[:, c, stride*i + a, stride*j + b]``.  For 1x1 kernels at stride 1
+    that is ``xp`` itself, returned as a reshape (a view of a contiguous
+    ``xp``, so the pointwise convs copy nothing).
     """
     b, c = xp.shape[:2]
+    if kh == kw == stride == 1:
+        return xp.reshape(b, c, oh * ow)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, :stride * oh:stride, :stride * ow:stride]
     # a copy in one fixed layout, so identical samples hit identical GEMM
@@ -303,7 +307,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
 
     xp = xd
     if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((b, c, hp, wp))
+        xp[:, :, padding:padding + h, padding:padding + w] = xd
     cols = _conv_cols(xp, kh, kw, stride, oh, ow)  # [B, C*kh*kw, oh*ow]
     wmat = kernels.data.reshape(c_out, c_in * kh * kw)
     out = np.matmul(wmat, cols)
@@ -331,11 +336,35 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
     return _record(Tensor(out if batched else out[0]), (x, kernels, bias), backward)
 
 
+def _quadrants(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four strided views ``a[..., r::2, c::2]`` in row-major window order."""
+    return (a[..., 0::2, 0::2], a[..., 0::2, 1::2],
+            a[..., 1::2, 0::2], a[..., 1::2, 1::2])
+
+
+def _first_max(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(later, value)``: whether ``b`` beats the earlier ``a`` as argmax
+    would rule (strictly larger, or NaN where ``a`` is not), and the winner."""
+    later = np.less_equal(b, a)
+    np.logical_not(later, out=later)
+    later &= a == a
+    return later, np.where(later, b, a)
+
+
 def max_pool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     """2x2/stride-2 max pooling; even spatial dims required.
 
     The gradient routes to the first maximum of each window in row-major
-    order, so pooling is deterministic even under ties.
+    order, so pooling is deterministic even under ties; a window holding a
+    NaN routes to its first NaN and outputs it, as ``argmax`` would.
+
+    The four window positions are strided views of the input, made
+    contiguous and compared in a tree: left against right in each row,
+    then the top winner against the bottom one.  Each pooled value is a
+    bitwise copy of its winning input (``np.maximum`` is not used: which
+    of two equal zeros it returns differs between platforms).  The
+    backward closure keeps only the winner's position, 0-3 in row-major
+    order, as an ``int8`` map.
     """
     if size != 2 or stride != 2:
         raise ValueError("only 2x2 windows with stride 2 are supported")
@@ -343,18 +372,18 @@ def max_pool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     b, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d needs even spatial dims, got {h}x{w}")
-    oh, ow = h // 2, w // 2
-    windows = xd.reshape(b, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(b, c, oh, ow, 4)
-    winner = flat.argmax(axis=-1)                 # first max in row-major order
-    out = np.take_along_axis(flat, winner[..., None], axis=-1)[..., 0]
+    q = [np.ascontiguousarray(v) for v in _quadrants(xd)]
+    right_top, top = _first_max(q[1], q[0])
+    right_bottom, bottom = _first_max(q[3], q[2])
+    lower, out = _first_max(bottom, top)
+    winner = np.where(lower, right_bottom.view(np.int8) + np.int8(2),
+                      right_top.view(np.int8))
 
     def backward(g):
         gb = g if batched else g[None]
-        hot = np.zeros((b, c, oh, ow, 4))
-        np.put_along_axis(hot, winner[..., None], gb[..., None], axis=-1)
-        dx = hot.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        dx = dx.reshape(b, c, h, w)
+        dx = np.empty((b, c, h, w))
+        for k, quadrant in enumerate(_quadrants(dx)):
+            quadrant[...] = np.where(winner == k, gb, 0.0)
         return ((dx if batched else dx[0]),)
 
     return _record(Tensor(out if batched else out[0]), (x,), backward)
@@ -374,15 +403,32 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling; each pixel becomes a 2x2 block."""
+    """Nearest-neighbor 2x upsampling; each pixel becomes a 2x2 block.
+
+    Forward writes the input into the output's four strided quadrants.
+    Backward adds the gradient's quadrants as
+    ``0.0 + ((g00 + g01) + (g10 + g11))``: bit for bit the order of the
+    numpy reduction ``g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5))``,
+    whose +0.0 start turns an all-negative-zero sum into +0.0.  At width
+    1 numpy fuses the two length-2 axes into one sequential sum, so there
+    the order is ``0.0 + (((g00 + g01) + g10) + g11)``.
+    """
     xd, batched = _spatial(x, "upsample2x")
     b, c, h, w = xd.shape
-    out = xd.repeat(2, axis=2).repeat(2, axis=3)
+    out = np.empty((b, c, 2 * h, 2 * w))
+    for quadrant in _quadrants(out):
+        quadrant[...] = xd
 
     def backward(g):
-        gb = g if batched else g[None]
-        dx = gb.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5))
-        return ((dx if batched else dx[0]),)
+        g00, g01, g10, g11 = _quadrants(g)
+        dx = g00 + g01
+        if w == 1:
+            dx += g10
+            dx += g11
+        else:
+            dx += g10 + g11
+        dx += 0.0
+        return (dx,)
 
     return _record(Tensor(out if batched else out[0]), (x,), backward)
 

@@ -35,6 +35,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class TrainingDivergedError(RuntimeError):
+    """Raised by :func:`train` when a batch leaves nothing to learn from.
+
+    That is a non-finite loss or gradient, or a cross-entropy batch stuck
+    at the probability clamp.
+    """
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     base_lr: float
@@ -383,6 +391,26 @@ def _batch_tensor(images: list[np.ndarray]) -> Tensor:
     return Tensor(np.stack([minmax_normalize(img)[None] for img in images]))
 
 
+def _divergence(loss: Tensor, grads: dict[str, np.ndarray],
+                picked: np.ndarray | None) -> str | None:
+    """Why a batch diverged, or None; reads values only."""
+    if not math.isfinite(loss.item()):
+        return f"loss is {loss.item()}"
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            return f"gradient of {name} is not finite"
+    if picked is not None:
+        clamped = picked <= CROSS_ENTROPY_CLAMP
+        # a clamped sample passes no gradient through the log, and a
+        # certain one (probability 1 in float64) none beyond rounding
+        # through the softmax
+        if clamped.any() and (clamped | (picked == 1.0)).all():
+            return (f"{int(clamped.sum())} of {picked.size} true-class "
+                    "probabilities are at the clamp and the rest are 1, "
+                    "so the gradient vanishes")
+    return None
+
+
 def train(model, ds: LabeledDataset, cfg: TrainConfig,
           on_epoch_end=None) -> tuple[ParamStore, list[EpochRecord]]:
     """Deterministic Adam training; returns the (mutated) store and history.
@@ -392,6 +420,12 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
     runs, both aggregated over the same forward passes as the loss.
     ``on_epoch_end(epoch, model)``, if given, runs after each epoch's
     update; it must not mutate the model.
+
+    Raises :class:`TrainingDivergedError`, before that batch's update, on
+    a non-finite loss or gradient, or on a cross-entropy batch whose
+    true-class probabilities are each at the 1e-12 clamp or exactly 1
+    with at least one at the clamp: such a batch has a positive loss but
+    no gradient beyond rounding, so training cannot leave it.
     """
     if len(ds) == 0:
         raise ValueError("dataset is empty")
@@ -426,6 +460,14 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
             for name, param in model.params.items():
                 g = grads_by_tensor.get(param)
                 grads[name] = g if g is not None else np.zeros_like(param.data)
+            picked = None
+            if cfg.loss == "cross_entropy":
+                picked = out.data[np.arange(len(idx)), labels]
+            reason = _divergence(loss, grads, picked)
+            if reason is not None:
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch}, batch "
+                    f"{start // cfg.batch_size}: {reason}")
             adam_step(model.params, grads, state, lr)
             epoch_loss += loss.item()
             if cfg.loss == "cross_entropy":

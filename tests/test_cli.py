@@ -119,6 +119,16 @@ def test_train_segmentation_preset(tmp_path):
     assert "head.weight" in store
 
 
+def test_train_diverged_run_exits_5_and_writes_nothing(tmp_path, capsys):
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    code = run(["train", "--dataset", str(data), "--preset", "xray-det-desk",
+                "--epochs", "3", "--lr", "1000", "--out", str(out)])
+    assert code == 5
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # transfer
 
@@ -138,6 +148,16 @@ def test_transfer_zero_epochs_keeps_donor_body(tmp_path):
             continue
         assert np.array_equal(donor[name].data, tuned[name].data), name
     assert not np.array_equal(donor["fc.weight"].data, tuned["fc.weight"].data)
+
+
+def test_transfer_diverged_run_exits_5(tmp_path):
+    data = gen(tmp_path)
+    donor_out = train_tiny(tmp_path, data, name="donor", epochs=1)
+    code = run(["transfer", "--dataset", str(data), "--preset", "xray-det-desk",
+                "--donor-weights", str(donor_out / "weights.cmtw"),
+                "--epochs", "3", "--lr", "1000", "--out", str(tmp_path / "tl")])
+    assert code == 5
+    assert not (tmp_path / "tl").exists()
 
 
 def test_transfer_architecture_mismatch_is_model_error(tmp_path):
@@ -302,7 +322,9 @@ def test_eval_missing_labels_is_data_error(tmp_path):
     one_tensor_file(b"\xff", (1,), struct.pack("<f", 1.0)),
     one_tensor_file(b"w", (0,), b""),
     one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, float("nan"))),
-], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan"])
+    b"CMTW" + struct.pack("<II", 1, 2)
+    + 2 * (struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)),
+], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan", "duplicate-name"])
 def test_eval_malformed_weights_is_model_error(tmp_path, payload):
     data = gen(tmp_path, kind="segmentation", count=4, size=32)
     bad = tmp_path / "bad.cmtw"

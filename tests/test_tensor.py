@@ -248,6 +248,70 @@ def test_max_pool_tie_routes_to_first_in_row_major():
     assert np.array_equal(grads[x], expected)
 
 
+def max_pool2d_brute(x, g):
+    """Reshape/transpose to [..., 4] windows, argmax, one-hot scatter:
+    the pooled values and the input gradient for upstream ``g``."""
+    b, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    flat = x.reshape(b, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
+    winner = flat.argmax(axis=-1)                 # first max in row-major order
+    out = np.take_along_axis(flat, winner[..., None], axis=-1)[..., 0]
+    hot = np.zeros((b, c, oh, ow, 4))
+    np.put_along_axis(hot, winner[..., None], g[..., None], axis=-1)
+    dx = hot.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+    return out, dx
+
+
+def pool_case(batch, c, h, w, seed):
+    """Input with planted ties, one all-NaN and one part-NaN window, signed
+    zeros, and an upstream gradient with signed zeros."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((batch, c, h, w)) * 2) / 2   # many ties
+    x[0, 0, :2, :2] = 7.0                                         # a full tie
+    x[-1, -1, -2:, -2:] = np.nan
+    x[0, -1, -2, -1] = np.nan
+    x[rng.random(x.shape) < 0.05] = -0.0
+    g = rng.standard_normal((batch, c, h // 2, w // 2))
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return x, g
+
+
+def input_grad(op, x, g):
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = op(xt)
+        loss = sum_all(mul(out, Tensor(g)))
+    return out.data, tape.backward(loss)[xt]
+
+
+SIDES = [(2, 2), (2, 6), (4, 4), (6, 2), (8, 14), (16, 16), (30, 18), (64, 64)]
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("h,w", SIDES)
+def test_max_pool_byte_equal_to_brute(batch, h, w):
+    x, g = pool_case(batch, 3, h, w, seed=h * 100 + w + batch)
+    want_out, want_dx = max_pool2d_brute(x, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)      # NaN * g in the loss
+        out, dx = input_grad(max_pool2d, x, g)
+        out3, dx3 = input_grad(max_pool2d, x[0], g[0])
+    assert out.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+    assert out3.tobytes() == want_out[0].tobytes()
+    assert dx3.tobytes() == want_dx[0].tobytes()
+
+
+def test_max_pool_input_gradient_batched_matches_per_sample_bitwise():
+    x, g = pool_case(6, 4, 16, 12, seed=23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, full = input_grad(max_pool2d, x, g)
+        for i in range(6):
+            assert full[i].tobytes() == input_grad(max_pool2d, x[i:i + 1], g[i:i + 1])[1][0].tobytes()
+            assert full[i].tobytes() == input_grad(max_pool2d, x[i], g[i])[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -404,6 +468,45 @@ def test_upsample2x_gradient_matches_finite_differences():
         return (upsample2x(x).data * w).sum()
 
     assert rel_error(grads[x], numeric_grad(forward, x)) < 1e-3
+
+
+def upsample2x_backward_brute(g):
+    """Sum each 2x2 block of the upstream gradient with one numpy reduction."""
+    b, c, h2, w2 = g.shape
+    return g.reshape(b, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+
+
+def upsample_grad_case(batch, c, h, w, seed):
+    """An upstream gradient spanning 40 orders of magnitude, so the
+    summation order shows in the last bits, plus signed zeros and an
+    all-negative-zero block."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((batch, c, h, w)) * np.exp(rng.uniform(-46, 46, (batch, c, h, w)))
+    g[rng.random(g.shape) < 0.1] = 0.0
+    g[rng.random(g.shape) < 0.1] = -0.0
+    g[0, 0, :2, :2] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("h,w", SIDES)
+def test_upsample2x_byte_equal_to_brute(batch, h, w):
+    x = rand_tensor((batch, 3, h // 2, w // 2), seed=h + w).data
+    g = upsample_grad_case(batch, 3, h, w, seed=h * 100 + w + batch)
+    out, dx = input_grad(upsample2x, x, g)
+    assert out.tobytes() == x.repeat(2, axis=2).repeat(2, axis=3).tobytes()
+    assert dx.tobytes() == upsample2x_backward_brute(g).tobytes()
+    _, dx3 = input_grad(upsample2x, x[0], g[0])
+    assert dx3.tobytes() == upsample2x_backward_brute(g[:1])[0].tobytes()
+
+
+def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
+    x = rand_tensor((6, 4, 8, 5), seed=24).data
+    g = upsample_grad_case(6, 4, 16, 10, seed=25)
+    _, full = input_grad(upsample2x, x, g)
+    for i in range(6):
+        assert full[i].tobytes() == input_grad(upsample2x, x[i:i + 1], g[i:i + 1])[1][0].tobytes()
+        assert full[i].tobytes() == input_grad(upsample2x, x[i], g[i])[1].tobytes()
 
 
 def test_concat_channels_shapes_and_order():

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from chestkit.models import ModelConfig, build_irrcnn, build_nabla3, save_weights
+from chestkit.models import ModelConfig, ParamStore, build_irrcnn, build_nabla3, save_weights
 from chestkit.rng import DetRng
-from chestkit.tensor import Tape, Tensor
+from chestkit.tensor import Tape, Tensor, apply_op
 from chestkit.training import (
+    CROSS_ENTROPY_CLAMP,
     AdamState,
     LabeledDataset,
     TrainConfig,
+    TrainingDivergedError,
+    _divergence,
     adam_step,
     augment,
     balance_classes,
@@ -446,6 +449,62 @@ def test_train_rejects_mismatched_loss():
     model = build_irrcnn(TINY_CLS, seed=29)
     with pytest.raises(ValueError):
         train(model, ds, TrainConfig(base_lr=1e-3, batch_size=2, epochs=1, loss="dice"))
+
+
+# ---------------------------------------------------------------------------
+# divergence guard
+
+
+def test_train_stuck_at_probability_clamp_raises():
+    # lr 1e3 saturates the softmax after one step: each true-class
+    # probability is then 0 or 1 and the gradient is exactly zero
+    ds = two_class_dataset(8, seed=30)
+    model = build_irrcnn(TINY_CLS, seed=31)
+    with pytest.raises(TrainingDivergedError, match="at the clamp"):
+        train(model, ds, TrainConfig(base_lr=1e3, batch_size=4, epochs=3, seed=1))
+
+
+def test_train_non_finite_loss_raises_before_updating():
+    ds = two_class_dataset(4, seed=32)
+    model = build_irrcnn(TINY_CLS, seed=33)
+    model.params["fc.bias"].data[:] = np.nan
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    with pytest.raises(TrainingDivergedError, match="loss is nan"):
+        train(model, ds, TrainConfig(base_lr=1e-3, batch_size=2, epochs=1))
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, before[name], equal_nan=True), name
+
+
+class InfiniteGradientModel:
+    """Constant probabilities (a finite loss) with an infinite gradient."""
+
+    def __init__(self):
+        self.params = ParamStore()
+        self.w = self.params.add("w", Tensor(np.zeros(2), requires_grad=True))
+
+    def forward(self, batch):
+        n = batch.shape[0]
+        return apply_op(np.full((n, 2), 0.5), (self.w,),
+                        lambda g: (np.array([np.inf, 0.0]),))
+
+
+def test_train_non_finite_gradient_raises():
+    ds = two_class_dataset(4, seed=34)
+    with pytest.raises(TrainingDivergedError, match="gradient of w is not finite"):
+        train(InfiniteGradientModel(), ds,
+              TrainConfig(base_lr=1e-3, batch_size=2, epochs=1))
+
+
+@pytest.mark.parametrize("picked,stuck", [
+    ([CROSS_ENTROPY_CLAMP, 0.0], True),      # all at the clamp
+    ([1e-300, 1.0, 1.0], True),              # clamped or certain: no gradient
+    ([1.0, 1.0], False),                     # a perfect fit is not a divergence
+    ([0.0, 0.5], False),                     # one sample still carries gradient
+    ([2e-12, 1.0], False),
+])
+def test_divergence_clamp_rule(picked, stuck):
+    reason = _divergence(Tensor([0.5]), {"w": np.zeros(3)}, np.array(picked))
+    assert (reason is not None) == stuck
 
 
 # ---------------------------------------------------------------------------
