@@ -8,6 +8,13 @@ is active.  ``tape.backward(loss)`` replays the record in reverse and
 returns gradients for every ``requires_grad`` tensor that contributed to
 the loss.
 
+The tape keeps only what backward reads.  A node holds its backward
+closure, which keeps the arrays that op's gradient needs, and its parents
+as keys; it holds its output only if that output ``requires_grad``.  So a
+forward intermediate that no closure saved (a conv's pre-activation, a
+relu output) is freed as soon as the forward drops it, and backward
+releases each node, closure and saved arrays included, once it has run.
+
 Ops are pure functions: they never mutate their inputs and identical
 inputs produce bit-identical outputs.  Batched inputs are processed with
 per-sample GEMMs so that each sample's result is independent of the rest
@@ -39,7 +46,7 @@ class ShapeError(ValueError):
 class Tensor:
     """n-dimensional float64 array plus autodiff bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "name", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "name", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -50,6 +57,7 @@ class Tensor:
         self.name = name
         self.grad: np.ndarray | None = None
         self._tape: object | None = None   # the recording Tape's marker
+        self._node: int | None = None      # index of its node on that tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -97,17 +105,26 @@ class Tape:
             loss = cross_entropy_loss(probs, labels)
         grads = tape.backward(loss)
 
+    Each recorded op is one node: its backward closure, a key per parent
+    (the parent's node index if it was recorded on this tape, the parent
+    itself if it is a leaf that ``requires_grad``, else None) and its
+    output only if that output ``requires_grad``.  Gradients are buffered
+    by those keys, never by ``id()``: a freed intermediate's id can come
+    back later in the same forward.  ``backward`` sets each node's slot to
+    None as it reaches it, so a closure and the arrays it saved are freed
+    once it has run, while backward goes on; ``len(tape)`` still counts
+    the recorded nodes.
+
     A tape is single-owner: it must not be shared across threads, and
     ``backward`` may run at most once.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._nodes: list[tuple[Tensor | None, tuple, Callable] | None] = []
         self._spent = False
         # recorded outputs point at this marker, not at the tape: the tape
-        # holds its outputs, so a back-reference would make a cycle that
-        # keeps a spent tape and its closures alive until the cyclic
-        # collector runs
+        # holds outputs that require grad, so a back-reference would make a
+        # cycle that keeps a spent tape alive until the cyclic collector runs
         self._mark = object()
 
     def __enter__(self) -> "Tape":
@@ -123,12 +140,19 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def _key(self, t: Tensor) -> "int | Tensor | None":
+        """The gradient buffer key of ``t``, or None if no gradient goes to it."""
+        if t._tape is self._mark:
+            return t._node
+        return t if t.requires_grad else None
+
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Propagate from a scalar loss; returns grads per requires_grad tensor.
 
-        Backward over an empty tape (or a loss not produced on this tape)
-        is a no-op yielding an empty map.  Calling backward twice on the
-        same tape is an error.
+        Backward over an empty tape (or a loss neither produced on this
+        tape nor requiring grad) is a no-op yielding an empty map; a loss
+        that is a ``requires_grad`` leaf maps to ones.  Calling backward
+        twice on the same tape is an error.
         """
         if self._spent:
             raise RuntimeError("backward already ran on this tape; record a new Tape")
@@ -136,39 +160,42 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
 
-        buffers: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        root = self._key(loss)
+        buffers: dict[int | Tensor, np.ndarray] = (
+            {} if root is None else {root: np.ones_like(loss.data)})
         result: dict[Tensor, np.ndarray] = {}
 
-        for out, parents, backward_fn in reversed(self._nodes):
-            g = buffers.pop(id(out), None)
+        nodes = self._nodes
+        for index in range(len(nodes) - 1, -1, -1):
+            out, keys, backward_fn = nodes[index]
+            nodes[index] = None
+            g = buffers.pop(index, None)
             if g is None:
                 continue
-            if out.requires_grad:
+            if out is not None:
                 out.grad = g
                 result[out] = g
-            for parent, pg in zip(parents, backward_fn(g)):
-                if pg is None:
+            for key, pg in zip(keys, backward_fn(g)):
+                if key is None or pg is None:
                     continue
-                if not (parent.requires_grad or parent._tape is self._mark):
-                    continue
-                held = buffers.get(id(parent))
-                buffers[id(parent)] = pg if held is None else held + pg
-                holders[id(parent)] = parent
+                held = buffers.get(key)
+                buffers[key] = pg if held is None else held + pg
 
-        for tid, g in buffers.items():
-            t = holders[tid]
-            if t.requires_grad:
-                t.grad = g
-                result[t] = g
+        # every node index has been popped; what is left are the leaves
+        for t, g in buffers.items():
+            t.grad = g
+            result[t] = g
         return result
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     tape = _active_tape()
-    if tape is not None and any(p.requires_grad or p._tape is tape._mark for p in parents):
-        out._tape = tape._mark
-        tape._nodes.append((out, parents, backward_fn))
+    if tape is not None:
+        keys = tuple(tape._key(p) for p in parents)
+        if any(key is not None for key in keys):
+            out._tape = tape._mark
+            out._node = len(tape._nodes)
+            tape._nodes.append((out if out.requires_grad else None, keys, backward_fn))
     return out
 
 

@@ -381,10 +381,20 @@ def transfer_init(model, pretrained: ParamStore, reinit_head: bool = True,
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch of :func:`train`.
+
+    ``grad_norm`` is the mean over the epoch's batches of the global L2
+    norm of the gradient; ``clamped`` is the fraction of the epoch's
+    true-class probabilities at the cross-entropy clamp, None for Dice
+    runs.  Both are None when read from a history written without them.
+    """
+
     epoch: int
     lr: float
     loss: float
     metric: float
+    grad_norm: float | None = None
+    clamped: float | None = None
 
 
 def _batch_tensor(images: list[np.ndarray]) -> Tensor:
@@ -417,7 +427,9 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
 
     The per-epoch metric is training accuracy for cross-entropy runs and
     the smoothed Dice coefficient of the epoch's predictions for Dice
-    runs, both aggregated over the same forward passes as the loss.
+    runs, both aggregated over the same forward passes as the loss; each
+    record also carries the gradient norm and clamp fraction
+    (:class:`EpochRecord`), which only read values.
     ``on_epoch_end(epoch, model)``, if given, runs after each epoch's
     update; it must not mutate the model.
 
@@ -442,6 +454,8 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
         order = DetRng(derive_seed(cfg.seed, epoch)).permutation(n)
         epoch_loss = 0.0
         hits = 0.0
+        grad_norms = 0.0
+        clamped = 0
         batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -468,15 +482,19 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}, batch "
                     f"{start // cfg.batch_size}: {reason}")
+            grad_norms += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             adam_step(model.params, grads, state, lr)
             epoch_loss += loss.item()
             if cfg.loss == "cross_entropy":
                 hits += float((out.data.argmax(axis=1) == np.asarray(labels)).sum())
+                clamped += int((picked <= CROSS_ENTROPY_CLAMP).sum())
             else:
                 hits += dice_coefficient_soft(out.data, target.data) * len(idx)
             batches += 1
-        history.append(EpochRecord(epoch=epoch, lr=lr,
-                                   loss=epoch_loss / batches, metric=hits / n))
+        history.append(EpochRecord(
+            epoch=epoch, lr=lr, loss=epoch_loss / batches, metric=hits / n,
+            grad_norm=grad_norms / batches,
+            clamped=clamped / n if cfg.loss == "cross_entropy" else None))
         if on_epoch_end is not None:
             on_epoch_end(epoch, model)
     return model.params, history
@@ -558,11 +576,18 @@ def get_preset(name: str, epochs: int | None = None, batch_size: int | None = No
     return Preset(preset.name, preset.model, train_cfg)
 
 
+def _optional(value: float | None, spec: str) -> str:
+    return "-" if value is None else format(value, spec)
+
+
 def history_to_text(history: list[EpochRecord]) -> str:
-    lines = ["# epoch lr loss metric"]
+    """One line per epoch; a missing ``grad_norm`` or ``clamped`` prints ``-``."""
+    lines = ["# epoch lr loss metric grad_norm clamped"]
     for rec in history:
         lines.append(f"epoch={rec.epoch} lr={rec.lr:.10g} "
-                     f"loss={rec.loss:.6f} metric={rec.metric:.6f}")
+                     f"loss={rec.loss:.6f} metric={rec.metric:.6f} "
+                     f"grad_norm={_optional(rec.grad_norm, '.6g')} "
+                     f"clamped={_optional(rec.clamped, '.6f')}")
     return "\n".join(lines) + "\n"
 
 
@@ -573,8 +598,11 @@ def history_from_text(text: str) -> list[EpochRecord]:
         if not line or line.startswith("#"):
             continue
         fields = dict(part.split("=", 1) for part in line.split())
+        optional = {key: None if fields.get(key, "-") == "-" else float(fields[key])
+                    for key in ("grad_norm", "clamped")}
         out.append(EpochRecord(epoch=int(fields["epoch"]), lr=float(fields["lr"]),
-                               loss=float(fields["loss"]), metric=float(fields["metric"])))
+                               loss=float(fields["loss"]), metric=float(fields["metric"]),
+                               **optional))
     return out
 
 

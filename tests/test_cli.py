@@ -79,7 +79,9 @@ def test_train_writes_weights_history_config(tmp_path):
     data = gen(tmp_path)
     out = train_tiny(tmp_path, data)
     assert (out / "weights.cmtw").exists()
-    assert (out / "history.txt").exists()
+    history = (out / "history.txt").read_text().splitlines()
+    assert history[1].startswith("epoch=0 ")
+    assert " grad_norm=" in history[1] and " clamped=" in history[1]
     config = (out / "config.txt").read_text()
     assert "preset=xray-det-desk" in config
     assert "epochs=1" in config

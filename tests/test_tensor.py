@@ -15,6 +15,7 @@ from chestkit.tensor import (
     Tensor,
     _conv_cols,
     add,
+    apply_op,
     concat_channels,
     conv2d,
     dense,
@@ -645,7 +646,17 @@ def test_ops_do_not_record_without_tape():
     assert out._tape is None
 
 
-def test_spent_tape_is_freed_by_reference_counting():
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_spent_tape_is_freed_by_reference_counting(no_cyclic_gc):
     x = rand_tensor((2, 1, 6, 6), seed=39)
     k = rand_tensor((2, 1, 3, 3), seed=40, requires_grad=True)
     b = rand_tensor((2,), seed=41, requires_grad=True)
@@ -656,13 +667,116 @@ def test_spent_tape_is_freed_by_reference_counting():
         tape.backward(loss)
         return weakref.ref(tape)
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        assert step()() is None
-    finally:
-        if enabled:
-            gc.enable()
+    assert step()() is None
+
+
+def test_forward_frees_what_no_backward_reads(no_cyclic_gc):
+    x = rand_tensor((2, 1, 6, 6), seed=42)
+    k = rand_tensor((2, 1, 3, 3), seed=43, requires_grad=True)
+    b = rand_tensor((2,), seed=44, requires_grad=True)
+    pre_activation = []
+
+    def forward():
+        pre = conv2d(x, k, b, padding=1)
+        pre_activation.append(weakref.ref(pre.data))
+        return sum_all(relu(pre))
+
+    with Tape() as tape:
+        loss = forward()
+        # relu's backward reads only its mask, conv2d's its padded input
+        assert pre_activation[0]() is None
+    assert set(tape.backward(loss)) == {k, b}
+
+
+def test_backward_releases_each_node_after_it_runs(monkeypatch, no_cyclic_gc):
+    import chestkit.tensor as tensor_module
+
+    x = rand_tensor((2, 1, 6, 6), seed=45, requires_grad=True)
+    k = rand_tensor((2, 1, 3, 3), seed=46, requires_grad=True)
+    b = rand_tensor((2,), seed=47, requires_grad=True)
+    record = tensor_module._record
+    padded = []      # weak references to the padded input conv2d's closure saved
+    seen_by_first_node = []
+
+    def spy(out, parents, backward_fn):
+        for cell in backward_fn.__closure__ or ():
+            if getattr(cell.cell_contents, "shape", None) == (2, 1, 8, 8):
+                padded.append(weakref.ref(cell.cell_contents))
+        return record(out, parents, backward_fn)
+
+    def first_backward(g):
+        # the first node recorded runs last, after the conv's node
+        seen_by_first_node.append(padded[0]())
+        return (g,)
+
+    monkeypatch.setattr(tensor_module, "_record", spy)
+    with Tape() as tape:
+        xin = apply_op(x.data.copy(), (x,), first_backward)
+        loss = sum_all(relu(conv2d(xin, k, b, padding=1)))
+    assert len(padded) == 1 and padded[0]() is not None
+    grads = tape.backward(loss)
+    assert seen_by_first_node == [None]
+    assert padded[0]() is None
+    assert len(tape) == 4
+    assert set(grads) == {x, k, b}
+
+
+def test_gradients_hold_when_a_freed_intermediate_id_comes_back():
+    # each step drops its intermediates, then makes a new leaf that requires
+    # grad; CPython gives the leaf a freed intermediate's memory, and so its
+    # id, which a tape buffering gradients by id() would mix up
+    x = rand_tensor((4,), seed=48, requires_grad=True)
+    weights = Tensor(1.0 + rand_tensor((8, 4), seed=49, scale=0.1).data)
+    steps = weights.shape[0]
+
+    def forward(leaves=None, dropped_ids=None):
+        h = x
+        for i in range(steps):
+            t = sigmoid(mul(h, h))
+            h = add(h, t)
+            if dropped_ids is not None:
+                dropped_ids.add(id(t))
+            del t
+            w = Tensor(weights.data[i], requires_grad=True)
+            if leaves is not None:
+                leaves.append(w)
+            h = mul(h, w)
+        return sum_all(h)
+
+    leaves, dropped_ids = [], set()
+    with Tape() as tape:
+        loss = forward(leaves, dropped_ids)
+    grads = tape.backward(loss)
+    # leaves stay alive, so a shared id means the leaf took a freed one
+    assert dropped_ids & {id(w) for w in leaves}
+
+    def value():
+        return forward().item()
+
+    assert rel_error(grads[x], numeric_grad(value, x)) < 1e-5
+    assert rel_error(np.stack([grads[w] for w in leaves]),
+                     numeric_grad(value, weights)) < 1e-5
+
+
+def test_backward_from_a_leaf_or_foreign_loss():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    leaf = Tensor([3.0], requires_grad=True)
+    with Tape() as tape:
+        sum_all(mul(x, x))
+    grads = tape.backward(leaf)
+    assert list(grads) == [leaf] and np.array_equal(grads[leaf], [1.0])
+    assert leaf.grad is grads[leaf] and x.grad is None
+    assert len(tape) == 2
+
+    # a loss recorded on an earlier tape, or on none, is not this tape's
+    with Tape():
+        earlier = sum_all(mul(x, x))
+    unrecorded = sum_all(mul(x, x))
+    for loss in (earlier, unrecorded):
+        with Tape() as tape:
+            sum_all(mul(x, x))
+        assert tape.backward(loss) == {}
+    assert x.grad is None
 
 
 # ---------------------------------------------------------------------------

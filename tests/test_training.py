@@ -442,6 +442,8 @@ def test_train_dice_on_tiny_segmentation_set():
     _, history = train(model, ds, cfg)
     assert history[-1].loss < history[0].loss
     assert 0.0 <= history[-1].metric <= 1.0
+    assert history[-1].grad_norm > 0.0
+    assert history[-1].clamped is None
 
 
 def test_train_rejects_mismatched_loss():
@@ -486,6 +488,31 @@ class InfiniteGradientModel:
         n = batch.shape[0]
         return apply_op(np.full((n, 2), 0.5), (self.w,),
                         lambda g: (np.array([np.inf, 0.0]),))
+
+
+class FixedGradientModel:
+    """The first sample of each batch at probability 0 for both classes,
+    the rest at 0.5, and a gradient of norm 5 per sample in the batch."""
+
+    def __init__(self):
+        self.params = ParamStore()
+        self.w = self.params.add("w", Tensor(np.zeros(2), requires_grad=True))
+
+    def forward(self, batch):
+        n = batch.shape[0]
+        probs = np.full((n, 2), 0.5)
+        probs[0] = 0.0
+        return apply_op(probs, (self.w,), lambda g: (np.array([3.0, 4.0]) * n,))
+
+
+def test_train_records_gradient_norm_and_clamp_fraction():
+    ds = two_class_dataset(6, seed=35)
+    _, history = train(FixedGradientModel(), ds,
+                       TrainConfig(base_lr=1e-3, batch_size=4, epochs=2))
+    for rec in history:
+        # batches of 4 and 2: norms 20 and 10, one sample clamped in each
+        assert rec.grad_norm == 15.0
+        assert rec.clamped == 2 / 6
 
 
 def test_train_non_finite_gradient_raises():
@@ -546,10 +573,22 @@ def test_preset_override_and_unknown():
 def test_history_text_roundtrip():
     from chestkit.training import EpochRecord
 
-    history = [EpochRecord(0, 1e-3, 0.693141, 0.5),
-               EpochRecord(1, 1e-3, 0.512345, 0.75)]
+    history = [EpochRecord(0, 1e-3, 0.693141, 0.5, grad_norm=1.25e-5, clamped=0.125),
+               EpochRecord(1, 1e-3, 0.512345, 0.75, grad_norm=3.5)]
     text = history_to_text(history)
     parsed = history_from_text(text)
     assert len(parsed) == 2
     assert parsed[0].epoch == 0
     assert abs(parsed[1].loss - 0.512345) < 1e-9
+    assert parsed[0].grad_norm == 1.25e-5 and parsed[0].clamped == 0.125
+    assert parsed[1].grad_norm == 3.5 and parsed[1].clamped is None
+    assert "clamped=-" in text.splitlines()[2]
+
+
+def test_history_from_text_reads_four_column_files():
+    text = ("# epoch lr loss metric\n"
+            "epoch=0 lr=0.001 loss=0.693141 metric=0.500000\n")
+    [rec] = history_from_text(text)
+    assert (rec.epoch, rec.lr, rec.loss, rec.metric) == (0, 1e-3, 0.693141, 0.5)
+    assert rec.grad_norm is None and rec.clamped is None
+    assert history_to_text([rec]).splitlines()[1].endswith("grad_norm=- clamped=-")
