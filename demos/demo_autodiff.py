@@ -15,7 +15,7 @@ bias = Tensor(np.zeros(2), requires_grad=True)
 
 # record a forward pass on a tape, then pull gradients back through it
 with Tape() as tape:
-    feature_maps = relu(conv2d(image, kernel, bias, stride=1, padding=1))
+    feature_maps = relu(conv2d(image, kernel, bias, padding=1))
     pooled = max_pool2d(feature_maps)
     loss = sum_all(pooled)
 grads = tape.backward(loss)
@@ -30,9 +30,9 @@ fd = np.zeros_like(flat)
 for i in range(flat.size):
     orig = flat[i]
     flat[i] = orig + h
-    up = sum_all(max_pool2d(relu(conv2d(image, kernel, bias, 1, 1)))).item()
+    up = sum_all(max_pool2d(relu(conv2d(image, kernel, bias, padding=1)))).item()
     flat[i] = orig - h
-    down = sum_all(max_pool2d(relu(conv2d(image, kernel, bias, 1, 1)))).item()
+    down = sum_all(max_pool2d(relu(conv2d(image, kernel, bias, padding=1)))).item()
     flat[i] = orig
     fd[i] = (up - down) / (2 * h)
 

@@ -165,13 +165,12 @@ def recurrent_conv(x: Tensor, forward_kernel: Tensor, forward_bias: Tensor,
         raise ShapeError(
             f"recurrent kernel {recurrent_kernel.shape} must map the forward "
             f"kernel's {forward_kernel.shape[0]} output channels onto themselves")
-    f = conv2d(x, forward_kernel, forward_bias, stride=1, padding=pad_f)
+    f = conv2d(x, forward_kernel, forward_bias, padding=pad_f)
     if t == 0:
         return relu(f)
     z = f
     for _ in range(t):
-        z = relu(add(f, conv2d(z, recurrent_kernel, recurrent_bias,
-                               stride=1, padding=pad_r)))
+        z = relu(add(f, conv2d(z, recurrent_kernel, recurrent_bias, padding=pad_r)))
     return z
 
 
@@ -357,7 +356,7 @@ class Nabla3:
         h = batch
         stage_out = []
         for i, (wt, bt) in enumerate(self.enc, start=1):
-            h = relu(conv2d(h, wt, bt, stride=1, padding=1))
+            h = relu(conv2d(h, wt, bt, padding=1))
             stage_out.append(h)
             if i <= POOL_STAGES:
                 h = max_pool2d(h)
@@ -366,7 +365,7 @@ class Nabla3:
         for start_stage, steps in self.decoders:
             z = stage_out[start_stage - 1]
             for wt, bt in steps:
-                z = relu(conv2d(upsample2x(z), wt, bt, stride=1, padding=1))
+                z = relu(conv2d(upsample2x(z), wt, bt, padding=1))
             maps.append(z)
         fused = concat_channels(maps)
         return sigmoid(conv2d(fused, self.head_w, self.head_b))

@@ -16,9 +16,9 @@ relu output) is freed as soon as the forward drops it, and backward
 releases each node, closure and saved arrays included, once it has run.
 
 Ops are pure functions: they never mutate their inputs and identical
-inputs produce bit-identical outputs.  Batched inputs are processed with
-per-sample GEMMs so that each sample's result is independent of the rest
-of the batch down to the last bit.
+inputs produce bit-identical outputs.  Batched forwards and input
+gradients use per-sample GEMMs, so each sample's result is independent of
+the rest of the batch to the last bit; a weight gradient sums over it.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -277,42 +277,39 @@ def _spatial(x: Tensor, op: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{op} expects [C,H,W] or [B,C,H,W], got {x.shape}")
 
 
-def _conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int,
-               oh: int, ow: int) -> np.ndarray:
+def _conv_cols(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
     """im2col of [B, C, H, W] into [B, C*kh*kw, oh*ow].
 
     Row ``(c*kh + a)*kw + b``, column ``i*ow + j`` holds
-    ``xp[:, c, stride*i + a, stride*j + b]``.  For 1x1 kernels at stride 1
-    that is ``xp`` itself, returned as a reshape (a view of a contiguous
-    ``xp``, so the pointwise convs copy nothing).
+    ``xp[:, c, i + a, j + b]``.  For 1x1 kernels that is ``xp`` itself as
+    a reshape: on conv2d's channel-major buffer, a strided view of [C, H*W]
+    matrices that BLAS reads in place.
     """
     b, c = xp.shape[:2]
-    if kh == kw == stride == 1:
+    if kh == kw == 1:
         return xp.reshape(b, c, oh * ow)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, :stride * oh:stride, :stride * ow:stride]
     # a copy in one fixed layout, so identical samples hit identical GEMM
     # paths for every batch size
     patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return patches.reshape(b, c * kh * kw, oh * ow)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """2-D cross-correlation at stride 1 with zero padding; ``kernels`` is
+    [C_out, C_in, kH, kW], ``bias`` [C_out], output H + 2*padding - kH + 1.
 
-    ``kernels`` is [C_out, C_in, kH, kW]; ``bias`` is [C_out].  Output
-    spatial size is floor((H + 2*padding - kH)/stride) + 1.
-
-    Forward and both weight gradients are per-sample GEMMs over the im2col
-    matrix.  The input gradient is the full correlation of the output
-    gradient (zero-dilated by ``stride``) with the flipped, channel-swapped
-    kernels, through the same im2col and GEMM.  The backward closure
-    retains only the padded input, not the kH*kW-times larger column
-    matrix; backward rebuilds the columns from it.
+    The input is padded once into a channel-major buffer ``xc``, [C_in,
+    B*Hp*Wp + (kH-1)*Wp + kW-1]: sample s, padded pixel (i, j) is column
+    s*Hp*Wp + i*Wp + j, and the tail is zeros.  The forward is a per-sample
+    GEMM over the im2col of ``xc``.  ``dw[:, :, a, b]`` is one GEMM over
+    the batch: the output gradient, laid out like ``xc`` and zero outside
+    each oh x ow corner, times ``xc`` shifted by a*Wp + b; columns that
+    wrap into the next row or sample meet those zeros.  ``dx`` correlates
+    the output gradient with the flipped, channel-swapped kernels through
+    im2col and a per-sample GEMM; it is None for an input that neither
+    requires grad nor was recorded.  The closure retains only ``xc``.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
     xd, batched = _spatial(x, "conv2d")
@@ -329,36 +326,42 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
     if kh > hp or kw > wp:
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    oh, ow = hp - kh + 1, wp - kw + 1
+    n = b * hp * wp
 
-    xp = xd
-    if padding:
-        xp = np.zeros((b, c, hp, wp))
-        xp[:, :, padding:padding + h, padding:padding + w] = xd
-    cols = _conv_cols(xp, kh, kw, stride, oh, ow)  # [B, C*kh*kw, oh*ow]
+    xc = np.zeros((c, n + (kh - 1) * wp + kw - 1))
+    xp = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)
+    xp[:, :, padding:padding + h, padding:padding + w] = xd
+    cols = _conv_cols(xp, kh, kw, oh, ow)  # [B, C*kh*kw, oh*ow]
     wmat = kernels.data.reshape(c_out, c_in * kh * kw)
     out = np.matmul(wmat, cols)
     del cols
     out += bias.data[:, None]
     out = out.reshape(b, c_out, oh, ow)
+    need_dx = x.requires_grad or x._tape is not None
 
     def backward(g):
-        gf = g.reshape(b, c_out, oh * ow)
-        dw = np.matmul(gf, _conv_cols(xp, kh, kw, stride, oh, ow).transpose(0, 2, 1))
-        dw = dw.sum(axis=0)
-        db = gf.sum(axis=(0, 2))
-        # dx is the full correlation of the gradient, zero-dilated by the
-        # stride and zero-padded by k-1, with the flipped kernels; the crop
-        # drops the rows and columns that fall on the input's zero padding
+        g = g.reshape(b, c_out, oh, ow)
+        gc = np.zeros((c_out, n))
+        gc.reshape(c_out, b, hp, wp)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+        dw = np.empty((kh * kw, c_out, c_in))
+        for tap in range(kh * kw):
+            shift = (tap // kw) * wp + tap % kw
+            np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
+        dw = dw.transpose(1, 2, 0).reshape(kernels.shape)
+        db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
+        if not need_dx:
+            return None, dw, db
+        # dx is the full correlation of the gradient, zero-padded by k-1,
+        # with the flipped kernels; the crop drops the rows and columns
+        # that fall on the input's zero padding
         gz = np.zeros((b, c_out, hp + kh - 1, wp + kw - 1))
-        gz[:, :, kh - 1:kh - 1 + stride * oh:stride,
-           kw - 1:kw - 1 + stride * ow:stride] = g.reshape(b, c_out, oh, ow)
+        gz[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = g
         gz = gz[:, :, padding:padding + h + kh - 1, padding:padding + w + kw - 1]
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dx = np.matmul(wflip.reshape(c_in, c_out * kh * kw),
-                       _conv_cols(gz, kh, kw, 1, h, w)).reshape(b, c_in, h, w)
-        return (dx if batched else dx[0]), dw.reshape(kernels.shape), db
+                       _conv_cols(gz, kh, kw, h, w)).reshape(b, c_in, h, w)
+        return (dx if batched else dx[0]), dw, db
 
     return _record(Tensor(out if batched else out[0]), (x, kernels, bias), backward)
 
@@ -378,7 +381,7 @@ def _first_max(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return later, np.where(later, b, a)
 
 
-def max_pool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
+def max_pool2d(x: Tensor) -> Tensor:
     """2x2/stride-2 max pooling; even spatial dims required.
 
     The gradient routes to the first maximum of each window in row-major
@@ -393,8 +396,6 @@ def max_pool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     backward closure keeps only the winner's position, 0-3 in row-major
     order, as an ``int8`` map.
     """
-    if size != 2 or stride != 2:
-        raise ValueError("only 2x2 windows with stride 2 are supported")
     xd, batched = _spatial(x, "max_pool2d")
     b, c, h, w = xd.shape
     if h % 2 or w % 2:

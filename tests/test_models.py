@@ -50,7 +50,7 @@ def test_recurrent_conv_zero_steps_is_plain_conv_relu():
 
     rc = RecurrentConv(store, "rc", c_in=2, c_out=3, kernel=3, steps=0, seed=5)
     x = rand_image((2, 8, 8), seed=1)
-    expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, stride=1, padding=1))
+    expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, padding=1))
     assert np.array_equal(rc.forward(x).data, expected.data)
 
 
@@ -62,7 +62,7 @@ def test_recurrent_conv_zero_recurrent_kernel_matches_zero_steps():
     rc.rec_w.data[:] = 0.0
     rc.rec_b.data[:] = 0.0
     x = rand_image((1, 6, 6), seed=2)
-    expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, stride=1, padding=1))
+    expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, padding=1))
     assert np.array_equal(rc.forward(x).data, expected.data)
 
 

@@ -47,7 +47,7 @@ def test_conv2d_identity_kernel_reproduces_input():
     img = rand_tensor((1, 3, 3), seed=1)
     k = np.zeros((1, 1, 3, 3))
     k[0, 0, 1, 1] = 1.0
-    out = conv2d(img, Tensor(k), Tensor(np.zeros(1)), stride=1, padding=1)
+    out = conv2d(img, Tensor(k), Tensor(np.zeros(1)), padding=1)
     assert np.array_equal(out.data, img.data)
 
 
@@ -109,27 +109,28 @@ def test_conv2d_gradients_match_finite_differences():
     k = rand_tensor((2, 1, 3, 3), seed=8, requires_grad=True)
     b = rand_tensor((2,), seed=9, requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(conv2d(x, k, b, stride=1, padding=1))
+        loss = sum_all(conv2d(x, k, b, padding=1))
     grads = tape.backward(loss)
 
     def forward():
-        return conv2d(x, k, b, stride=1, padding=1).data.sum()
+        return conv2d(x, k, b, padding=1).data.sum()
 
     for t in (x, k, b):
         assert rel_error(grads[t], numeric_grad(forward, t)) < 1e-3
 
 
-def test_conv2d_stride_two_output_size():
+def test_conv2d_output_size():
     img = Tensor(np.arange(49, dtype=float).reshape(1, 7, 7))
-    k = Tensor(np.ones((1, 1, 3, 3)))
-    out = conv2d(img, k, Tensor(np.zeros(1)), stride=2)
-    assert out.shape == (1, 3, 3)
+    out = conv2d(img, Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
+    assert out.shape == (1, 5, 5)
+    out = conv2d(img, Tensor(np.ones((1, 1, 5, 5))), Tensor(np.zeros(1)), padding=2)
+    assert out.shape == (1, 7, 7)
 
 
-# (kernel, stride, padding, input side): stride 2 dilates the gradient and
-# leaves the last padded row unread; 1x1/pad 0 is the segmenter head; 3x3/pad 2
-# and 1x1/pad 1 crop gradient rows that fall on the zero padding
-GRADIENT_GEOMETRIES = [(3, 2, 1, 6), (1, 1, 0, 5), (3, 1, 2, 4), (1, 2, 1, 5)]
+# (kernel, stride, padding, input side); conv2d runs at stride 1 only, so the
+# stride column is always 1.  1x1/pad 0 is the segmenter head; 3x3/pad 2 and
+# 1x1/pad 1 crop gradient rows that fall on the zero padding
+GRADIENT_GEOMETRIES = [(3, 1, 1, 6), (1, 1, 0, 5), (3, 1, 2, 4), (1, 1, 1, 5)]
 
 
 @pytest.mark.parametrize("k,stride,padding,side", GRADIENT_GEOMETRIES)
@@ -141,14 +142,35 @@ def test_conv2d_geometry_gradients_match_finite_differences(k, stride, padding, 
     # a non-uniform upstream gradient, so each output pixel weighs differently
     upstream = rand_tensor((3, oh, oh), seed=13)
     with Tape() as tape:
-        loss = sum_all(mul(conv2d(x, kern, b, stride=stride, padding=padding), upstream))
+        loss = sum_all(mul(conv2d(x, kern, b, padding=padding), upstream))
     grads = tape.backward(loss)
 
     def forward():
-        out = conv2d(x, kern, b, stride=stride, padding=padding)
+        out = conv2d(x, kern, b, padding=padding)
         return float((out.data * upstream.data).sum())
 
     for t in (x, kern, b):
+        assert rel_error(grads[t], numeric_grad(forward, t)) < 1e-3
+
+
+def test_conv2d_skips_input_gradient_nobody_reads():
+    # an image batch: it neither requires grad nor was recorded on the tape
+    x = rand_tensor((2, 2, 6, 5), seed=40)
+    k = rand_tensor((3, 2, 3, 3), seed=41, requires_grad=True)
+    b = rand_tensor((3,), seed=42, requires_grad=True)
+    upstream = rand_tensor((2, 3, 6, 5), seed=43)
+    with Tape() as tape:
+        out = conv2d(x, k, b, padding=1)
+        loss = sum_all(mul(out, upstream))
+    _, _, closure = tape._nodes[0]
+    assert closure(upstream.data)[0] is None
+    grads = tape.backward(loss)
+    assert x not in grads
+
+    def forward():
+        return float((conv2d(x, k, b, padding=1).data * upstream.data).sum())
+
+    for t in (k, b):
         assert rel_error(grads[t], numeric_grad(forward, t)) < 1e-3
 
 
@@ -170,35 +192,82 @@ def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# im2col against a brute-force oracle
+# im2col, forward and weight gradient against brute-force oracles
 
 
-def conv_cols_brute(xp, kh, kw, stride, oh, ow):
+def conv_cols_brute(xp, kh, kw, oh, ow):
     """Fancy-index gather: row (c*kh + a)*kw + b, column i*ow + j holds
-    xp[:, c, stride*i + a, stride*j + b]."""
+    xp[:, c, i + a, j + b]."""
     b, c = xp.shape[:2]
     i0 = np.repeat(np.arange(kh), kw)
     j0 = np.tile(np.arange(kw), kh)
-    i1 = stride * np.repeat(np.arange(oh), ow)
-    j1 = stride * np.tile(np.arange(ow), oh)
+    i1 = np.repeat(np.arange(oh), ow)
+    j1 = np.tile(np.arange(ow), oh)
     rows = i0[:, None] + i1[None, :]
     cols = j0[:, None] + j1[None, :]
     patches = np.ascontiguousarray(xp[:, :, rows, cols])  # [B, C, kh*kw, oh*ow]
     return patches.reshape(b, c * kh * kw, oh * ow)
 
 
+def pad_spatial(x, padding):
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def conv_dw_brute(x, g, kh, kw, padding):
+    """Kernel gradient as per-sample GEMMs over the im2col columns of the
+    padded input, summed over the batch."""
+    b, c_out, oh, ow = g.shape
+    cols = conv_cols_brute(pad_spatial(x, padding), kh, kw, oh, ow)
+    dw = np.matmul(g.reshape(b, c_out, oh * ow), cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(c_out, x.shape[1], kh, kw)
+
+
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 1, 1), (3, 1, 2),
-                                              (3, 2, 1), (5, 1, 2)])
+                                              (3, 1, 0), (5, 1, 2)])
 def test_conv_cols_byte_equal_to_brute_gather(k, stride, padding, batch):
+    # conv2d runs at stride 1 only, so the stride column is always 1
     x = rand_tensor((batch, 3, 9, 7), seed=18).data
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = pad_spatial(x, padding)
     oh = (9 + 2 * padding - k) // stride + 1
     ow = (7 + 2 * padding - k) // stride + 1
-    fast = _conv_cols(xp, k, k, stride, oh, ow)
-    brute = conv_cols_brute(xp, k, k, stride, oh, ow)
+    fast = _conv_cols(xp, k, k, oh, ow)
+    brute = conv_cols_brute(xp, k, k, oh, ow)
     assert fast.shape == brute.shape and fast.flags.c_contiguous
     assert fast.tobytes() == brute.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 1), (5, 2)])
+def test_conv2d_forward_byte_equal_to_brute_gemm(k, padding, batch):
+    x = rand_tensor((batch, 3, 9, 7), seed=44).data
+    kern = rand_tensor((5, 3, k, k), seed=45)
+    b = rand_tensor((5,), seed=46)
+    oh, ow = 9 + 2 * padding - k + 1, 7 + 2 * padding - k + 1
+    cols = conv_cols_brute(pad_spatial(x, padding), k, k, oh, ow)
+    expected = np.matmul(kern.data.reshape(5, 3 * k * k), cols)
+    expected += b.data[:, None]
+    out = conv2d(Tensor(x), kern, b, padding=padding).data
+    assert out.tobytes() == expected.reshape(batch, 5, oh, ow).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("k,padding", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (5, 2)])
+def test_conv2d_kernel_gradient_matches_per_sample_oracle(k, padding, batch):
+    # C_in != C_out on a non-square input: a wrapped read that missed its
+    # zero in the gradient buffer would land on real pixels and show here
+    x = rand_tensor((batch, 3, 9, 7), seed=47)
+    kern = rand_tensor((5, 3, k, k), seed=48, requires_grad=True)
+    b = rand_tensor((5,), seed=49, requires_grad=True)
+    oh, ow = 9 + 2 * padding - k + 1, 7 + 2 * padding - k + 1
+    upstream = rand_tensor((batch, 5, oh, ow), seed=50)
+    with Tape() as tape:
+        loss = sum_all(mul(conv2d(x, kern, b, padding=padding), upstream))
+    dw = tape.backward(loss)[kern]
+    # the two sum each entry's B*oh*ow products in different orders; measured
+    # against the largest entry, since one entry can be a near-cancellation
+    brute = conv_dw_brute(x.data, upstream.data, k, k, padding)
+    assert np.max(np.abs(dw - brute)) <= 1e-12 * np.max(np.abs(brute))
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +765,13 @@ def test_backward_releases_each_node_after_it_runs(monkeypatch, no_cyclic_gc):
     b = rand_tensor((2,), seed=47, requires_grad=True)
     record = tensor_module._record
     padded = []      # weak references to the padded input conv2d's closure saved
+    # its channel-major buffer: [C_in, B*Hp*Wp + (kH-1)*Wp + kW-1]
+    padded_shape = (1, 2 * 8 * 8 + 2 * 8 + 2)
     seen_by_first_node = []
 
     def spy(out, parents, backward_fn):
         for cell in backward_fn.__closure__ or ():
-            if getattr(cell.cell_contents, "shape", None) == (2, 1, 8, 8):
+            if getattr(cell.cell_contents, "shape", None) == padded_shape:
                 padded.append(weakref.ref(cell.cell_contents))
         return record(out, parents, backward_fn)
 
@@ -832,7 +903,7 @@ def _fd_cases():
     zero3 = Tensor(np.zeros(3))
     return {
         "conv2d": (
-            lambda ts: conv2d(ts[0], ts[1], ts[2], stride=1, padding=1),
+            lambda ts: conv2d(ts[0], ts[1], ts[2], padding=1),
             [(2, 5, 5), (3, 2, 3, 3), (3,)],
         ),
         "max_pool2d": (lambda ts: max_pool2d(ts[0]), [(2, 4, 4)]),
