@@ -35,6 +35,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -512,16 +513,28 @@ def load_weights(source) -> ParamStore:
     return store
 
 
-def assign_weights(model: ModelGraph, store: ParamStore) -> None:
-    """Copy a loaded store into a built model; names and shapes must match."""
-    for name, param in model.params.items():
-        if name not in store:
-            raise KeyError(f"weight file is missing parameter {name!r}")
-        src = store[name]
+def copy_params(params: ParamStore, source: ParamStore, names: Iterable[str],
+                missing: str, holder: str) -> None:
+    """Copy ``source[name]`` into ``params[name]`` for each of ``names``.
+
+    A name absent from ``source`` raises ``KeyError`` with the message
+    ``f"{missing} {name!r}"``; a shape that differs raises ``ShapeError``
+    saying what ``holder`` has and what the model needs.
+    """
+    for name in names:
+        if name not in source:
+            raise KeyError(f"{missing} {name!r}")
+        src, param = source[name], params[name]
         if src.shape != param.shape:
             raise ShapeError(
-                f"parameter {name!r}: file has {src.shape}, model needs {param.shape}")
+                f"parameter {name!r}: {holder} has {src.shape}, model needs {param.shape}")
         param.data = src.data.copy()
+
+
+def assign_weights(model: ModelGraph, store: ParamStore) -> None:
+    """Copy a loaded store into a built model; names and shapes must match."""
+    copy_params(model.params, store, model.params.names(),
+                "weight file is missing parameter", "file")
 
 
 def irrcnn_config_from_store(store: ParamStore, input_shape: tuple[int, int, int],

@@ -17,8 +17,10 @@ releases each node, closure and saved arrays included, once it has run.
 
 Ops are pure functions: they never mutate their inputs and identical
 inputs produce bit-identical outputs.  Batched forwards and input
-gradients use per-sample GEMMs, so each sample's result is independent of
-the rest of the batch to the last bit; a weight gradient sums over it.
+gradients compute each sample on its own: ``dense`` with a GEMV per
+sample, ``conv2d`` with GEMMs over blocks of several whole samples or of
+rows of one large sample.  So each sample's result is independent of the
+rest of the batch to the last bit; a weight gradient sums over it.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -277,22 +279,48 @@ def _spatial(x: Tensor, op: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{op} expects [C,H,W] or [B,C,H,W], got {x.shape}")
 
 
-def _conv_cols(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
-    """im2col of [B, C, H, W] into [B, C*kh*kw, oh*ow].
+# bytes of im2col columns that conv2d holds at once
+_COLS_BYTES = 1 << 20
 
-    Row ``(c*kh + a)*kw + b``, column ``i*ow + j`` holds
-    ``xp[:, c, i + a, j + b]``.  For 1x1 kernels that is ``xp`` itself as
-    a reshape: on conv2d's channel-major buffer, a strided view of [C, H*W]
-    matrices that BLAS reads in place.
+
+def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
+                 oh: int, ow: int) -> np.ndarray:
+    """``wmat @ im2col(xp)`` as [B, M, oh*ow], for ``xp`` [B, C, H, W] and
+    ``wmat`` [M, C*kh*kw].
+
+    im2col row ``(c*kh + a)*kw + b``, column ``i*ow + j`` holds
+    ``xp[:, c, i + a, j + b]``.  The columns are built a block at a time
+    in one buffer of about ``_COLS_BYTES`` and multiplied into their slice
+    of the output.  A block is as many whole samples as fit, each with its
+    own GEMM of the same shape and operands for any batch size; a sample
+    larger than the buffer goes through it a block of output rows at a
+    time, split by its own shape alone.  So each sample's result is
+    independent of the rest of the batch to the last bit.  For 1x1 kernels
+    the columns are ``xp`` itself as a reshape: on conv2d's channel-major
+    buffer, a strided view of [C, H*W] matrices that BLAS reads in place.
     """
     b, c = xp.shape[:2]
     if kh == kw == 1:
-        return xp.reshape(b, c, oh * ow)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # a copy in one fixed layout, so identical samples hit identical GEMM
-    # paths for every batch size
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
-    return patches.reshape(b, c * kh * kw, oh * ow)
+        return np.matmul(wmat, xp.reshape(b, c, oh * ow))
+    k = c * kh * kw
+    out = np.empty((b, wmat.shape[0], oh * ow))
+    # [B, C, kh, kw, oh, ow]: the columns of every sample, as a view
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    row_bytes = k * ow * out.itemsize
+    if row_bytes * oh <= _COLS_BYTES:
+        samples, rows = min(b, _COLS_BYTES // (row_bytes * oh)), oh
+    else:
+        samples, rows = 1, max(1, _COLS_BYTES // row_bytes)
+    buf = np.empty(samples * k * rows * ow)
+    for s in range(0, b, samples):
+        for i in range(0, oh, rows):
+            n, r = min(samples, b - s), min(rows, oh - i)
+            cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
+            cols[...] = windows[s:s + n, :, :, :, i:i + r]
+            np.matmul(wmat, cols.reshape(n, k, r * ow),
+                      out=out[s:s + n, :, i * ow:(i + r) * ow])
+    return out
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
@@ -301,14 +329,17 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
 
     The input is padded once into a channel-major buffer ``xc``, [C_in,
     B*Hp*Wp + (kH-1)*Wp + kW-1]: sample s, padded pixel (i, j) is column
-    s*Hp*Wp + i*Wp + j, and the tail is zeros.  The forward is a per-sample
-    GEMM over the im2col of ``xc``.  ``dw[:, :, a, b]`` is one GEMM over
-    the batch: the output gradient, laid out like ``xc`` and zero outside
-    each oh x ow corner, times ``xc`` shifted by a*Wp + b; columns that
-    wrap into the next row or sample meet those zeros.  ``dx`` correlates
-    the output gradient with the flipped, channel-swapped kernels through
-    im2col and a per-sample GEMM; it is None for an input that neither
-    requires grad nor was recorded.  The closure retains only ``xc``.
+    s*Hp*Wp + i*Wp + j, and the tail is zeros.  The forward is
+    ``_conv_matmul`` of the kernels and ``xc``: im2col columns built and
+    multiplied one block of whole samples, or of one sample's rows, at a
+    time, so each sample's output is independent of the batch.
+    ``dw[:, :, a, b]`` is one GEMM over the batch: the output gradient,
+    laid out like ``xc`` and zero outside each oh x ow corner, times ``xc``
+    shifted by a*Wp + b; columns that wrap into the next row or sample
+    meet those zeros.  ``dx`` correlates the output gradient with the
+    flipped, channel-swapped kernels through ``_conv_matmul`` too; it is
+    None for an input that neither requires grad nor was recorded.  The
+    closure retains only ``xc``.
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
@@ -332,10 +363,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
     xc = np.zeros((c, n + (kh - 1) * wp + kw - 1))
     xp = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)
     xp[:, :, padding:padding + h, padding:padding + w] = xd
-    cols = _conv_cols(xp, kh, kw, oh, ow)  # [B, C*kh*kw, oh*ow]
-    wmat = kernels.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(wmat, cols)
-    del cols
+    out = _conv_matmul(kernels.data.reshape(c_out, c_in * kh * kw), xp, kh, kw, oh, ow)
     out += bias.data[:, None]
     out = out.reshape(b, c_out, oh, ow)
     need_dx = x.requires_grad or x._tape is not None
@@ -359,8 +387,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
         gz[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = g
         gz = gz[:, :, padding:padding + h + kh - 1, padding:padding + w + kw - 1]
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = np.matmul(wflip.reshape(c_in, c_out * kh * kw),
-                       _conv_cols(gz, kh, kw, h, w)).reshape(b, c_in, h, w)
+        dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
+                          kh, kw, h, w).reshape(b, c_in, h, w)
         return (dx if batched else dx[0]), dw, db
 
     return _record(Tensor(out if batched else out[0]), (x, kernels, bias), backward)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import ModelConfig, ParamStore
+from .models import ModelConfig, ParamStore, copy_params
 from .rng import DetRng, derive_seed
 from .tensor import ShapeError, Tape, Tensor, apply_op, he_init
 
@@ -343,16 +343,9 @@ def transfer_init(model, pretrained: ParamStore, reinit_head: bool = True,
     head) are ignored.
     """
     head = set(model.head_names)
-    for name, param in model.params.items():
-        if name in head:
-            continue
-        if name not in pretrained:
-            raise KeyError(f"donor store is missing parameter {name!r}")
-        src = pretrained[name]
-        if src.shape != param.shape:
-            raise ShapeError(
-                f"parameter {name!r}: donor has {src.shape}, model needs {param.shape}")
-        param.data = src.data.copy()
+    copy_params(model.params, pretrained,
+                [name for name in model.params.names() if name not in head],
+                "donor store is missing parameter", "donor")
     if reinit_head:
         for i, name in enumerate(model.head_names):
             param = model.params[name]
@@ -364,15 +357,8 @@ def transfer_init(model, pretrained: ParamStore, reinit_head: bool = True,
                 param.data = he_init(param.shape, fan_in,
                                      derive_seed(seed, 5000 + i)).data
     else:
-        for name in model.head_names:
-            if name not in pretrained:
-                raise KeyError(f"donor store is missing head parameter {name!r}")
-            src = pretrained[name]
-            if src.shape != model.params[name].shape:
-                raise ShapeError(
-                    f"parameter {name!r}: donor has {src.shape}, "
-                    f"model needs {model.params[name].shape}")
-            model.params[name].data = src.data.copy()
+        copy_params(model.params, pretrained, model.head_names,
+                    "donor store is missing head parameter", "donor")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from chestkit.tensor import (
     ShapeError,
     Tape,
     Tensor,
-    _conv_cols,
+    _conv_matmul,
     add,
     apply_op,
     concat_channels,
@@ -93,7 +93,14 @@ def test_conv2d_is_linear_with_zero_bias():
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def test_conv2d_batched_matches_per_sample_bitwise():
+# column buffer sizes for the batch-invariance tests below, where a sample's
+# forward columns take 9216 bytes (1152 a row) and its input-gradient
+# columns 13824 (1728 a row): one row per block, rows of a sample, and
+# two or three samples per block in the forward (one or two in dx)
+SMALL_COLS_BYTES = [1, 5000, 20000, 30000]
+
+
+def check_conv2d_forward_batch_invariance():
     rng = DetRng(4)
     batch = Tensor(rng.normal(4 * 2 * 8 * 8).reshape(4, 2, 8, 8))
     k = rand_tensor((3, 2, 3, 3), seed=5)
@@ -102,6 +109,16 @@ def test_conv2d_batched_matches_per_sample_bitwise():
     for i in range(4):
         single = conv2d(Tensor(batch.data[i]), k, b, padding=1).data
         assert np.array_equal(full[i], single)
+
+
+def test_conv2d_batched_matches_per_sample_bitwise():
+    check_conv2d_forward_batch_invariance()
+
+
+@pytest.mark.parametrize("cols_bytes", SMALL_COLS_BYTES)
+def test_conv2d_batched_matches_per_sample_bitwise_in_blocks(cols_bytes, monkeypatch):
+    monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    check_conv2d_forward_batch_invariance()
 
 
 def test_conv2d_gradients_match_finite_differences():
@@ -174,7 +191,7 @@ def test_conv2d_skips_input_gradient_nobody_reads():
         assert rel_error(grads[t], numeric_grad(forward, t)) < 1e-3
 
 
-def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
+def check_conv2d_input_gradient_batch_invariance():
     batch = rand_tensor((4, 2, 8, 8), seed=14)
     k = rand_tensor((3, 2, 3, 3), seed=15, requires_grad=True)
     b = rand_tensor((3,), seed=16, requires_grad=True)
@@ -189,6 +206,17 @@ def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
     full = input_grad(batch.data, upstream.data)
     for i in range(4):
         assert np.array_equal(full[i], input_grad(batch.data[i], upstream.data[i]))
+
+
+def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
+    check_conv2d_input_gradient_batch_invariance()
+
+
+@pytest.mark.parametrize("cols_bytes", SMALL_COLS_BYTES)
+def test_conv2d_input_gradient_batched_matches_per_sample_bitwise_in_blocks(
+        cols_bytes, monkeypatch):
+    monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    check_conv2d_input_gradient_batch_invariance()
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +254,49 @@ def conv_dw_brute(x, g, kh, kw, padding):
 @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 1, 1), (3, 1, 2),
                                               (3, 1, 0), (5, 1, 2)])
 def test_conv_cols_byte_equal_to_brute_gather(k, stride, padding, batch):
-    # conv2d runs at stride 1 only, so the stride column is always 1
+    # _conv_matmul's product with its im2col columns, at the default buffer
+    # size, against a GEMM over the brute gather; conv2d runs at stride 1
+    # only, so the stride column is always 1
     x = rand_tensor((batch, 3, 9, 7), seed=18).data
     xp = pad_spatial(x, padding)
     oh = (9 + 2 * padding - k) // stride + 1
     ow = (7 + 2 * padding - k) // stride + 1
-    fast = _conv_cols(xp, k, k, oh, ow)
-    brute = conv_cols_brute(xp, k, k, oh, ow)
+    wmat = rand_tensor((5, 3 * k * k), seed=19).data
+    fast = _conv_matmul(wmat, xp, k, k, oh, ow)
+    brute = np.matmul(wmat, conv_cols_brute(xp, k, k, oh, ow))
     assert fast.shape == brute.shape and fast.flags.c_contiguous
     assert fast.tobytes() == brute.tobytes()
+
+
+@pytest.mark.parametrize("k,padding", [(3, 1), (5, 2)])
+@pytest.mark.parametrize("blocks", ["batch", "samples", "sample", "rows", "row"])
+def test_conv_matmul_blocks_match_brute_gemm(blocks, k, padding, monkeypatch):
+    # 5 samples: one block of all five, blocks of 2, 2 and 1, one sample per
+    # block, blocks of 4 rows (the last one shorter) and of one row
+    x = rand_tensor((5, 3, 9, 7), seed=51).data
+    xp = pad_spatial(x, padding)
+    oh, ow = 9 + 2 * padding - k + 1, 7 + 2 * padding - k + 1
+    depth = 3 * k * k
+    row_bytes = depth * ow * 8
+    cols_bytes = {"batch": 5 * oh * row_bytes, "samples": 2 * oh * row_bytes + 7,
+                  "sample": oh * row_bytes, "rows": 4 * row_bytes + 7, "row": 1}[blocks]
+    monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    wmat = rand_tensor((4, depth), seed=52).data
+    fast = _conv_matmul(wmat, xp, k, k, oh, ow)
+    cols = conv_cols_brute(xp, k, k, oh, ow)
+    whole = np.matmul(wmat, cols)
+    assert fast.shape == whole.shape
+    if blocks in ("batch", "samples", "sample"):
+        assert fast.tobytes() == whole.tobytes()
+        return
+    step = 4 if blocks == "rows" else 1
+    for s in range(5):
+        for i in range(0, oh, step):
+            span = slice(i * ow, min(i + step, oh) * ow)
+            brute = np.matmul(wmat, np.ascontiguousarray(cols[s, :, span]))
+            assert fast[s, :, span].tobytes() == brute.tobytes()
+    # BLAS may round a shorter GEMM differently in the last bits
+    assert np.max(np.abs(fast - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("batch", [1, 4])
