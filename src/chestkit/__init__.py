@@ -9,6 +9,7 @@ infected share of the lung area truncated to two decimals.
 """
 
 from .imaging import load_image, resize, save_image, to_grayscale
+from .kvtext import TextFormatError
 from .metrics import (
     MetricsReport,
     accuracy,

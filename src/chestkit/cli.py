@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import PnmError, load_image, save_mask, save_image, to_grayscale
+from . import kvtext
+from .imaging import PnmError, load_image, resize, save_mask, save_image, to_grayscale
 from .metrics import evaluate_classifier, evaluate_segmenter, metrics_to_text
 from .models import (
     WeightFileError,
@@ -34,7 +35,6 @@ from .synthdata import (
     write_infection_corpus,
     write_segmentation_corpus,
 )
-from .tensor import ShapeError
 from .training import (
     LabeledDataset,
     TrainingDivergedError,
@@ -68,8 +68,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 
 def _resize_dataset(ds: LabeledDataset, size: int) -> LabeledDataset:
-    from .imaging import resize
-
     if all(img.shape == (size, size) for img in ds.images):
         return ds
     return LabeledDataset(
@@ -80,19 +78,42 @@ def _resize_dataset(ds: LabeledDataset, size: int) -> LabeledDataset:
     )
 
 
-def _load_train_set(dataset_root: str, loss: str) -> LabeledDataset:
+def _load_dataset(root: str, masks: bool, part: str = "train") -> LabeledDataset:
     try:
-        if loss == "dice":
-            return load_segmentation_corpus(dataset_root)
-        return load_classification_corpus(dataset_root, "train")
+        if masks:
+            return load_segmentation_corpus(root)
+        return load_classification_corpus(root, part)
     except (FileNotFoundError, PnmError, ValueError) as exc:
         raise CliError(EXIT_DATA, f"cannot load dataset: {exc}") from exc
+
+
+def _load_model(path: str, build, what: str = "weights", failure: str = "bad weights"):
+    """``build(store)`` on the weight file at ``path``; an unreadable or
+    malformed file, or one that does not fit, exits with code 4."""
+    try:
+        return build(load_weights(path))
+    except OSError as exc:
+        raise CliError(EXIT_MODEL, f"cannot read {what}: {exc}") from exc
+    except WeightFileError as exc:
+        raise CliError(EXIT_MODEL, f"bad {what}: {exc}") from exc
+    except (KeyError, ValueError) as exc:       # ShapeError is a ValueError
+        raise CliError(EXIT_MODEL, f"{failure}: {exc}") from exc
+
+
+def _rebuild(config_from_store, size: int):
+    """A ``build`` for :func:`_load_model`: the network the stored shapes
+    describe, for ``size`` x ``size`` input, holding the stored weights."""
+    def build(store):
+        model = build_model(config_from_store(store, (1, size, size)), seed=0)
+        assign_weights(model, store)
+        return model
+    return build
 
 
 def _fit(args, preset, model) -> None:
     """Train ``model`` on ``--dataset`` and write the outputs to ``--out``;
     a diverged run writes nothing."""
-    ds = _load_train_set(args.dataset, preset.train.loss)
+    ds = _load_dataset(args.dataset, preset.train.loss == "dice")
     if preset.train.loss == "cross_entropy":
         ds = balance_classes(ds, seed=preset.train.seed)
     ds = _resize_dataset(ds, preset.model.input_shape[1])
@@ -150,40 +171,23 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     preset = _resolve_preset(args)
-    try:
-        donor = load_weights(args.donor_weights)
-    except OSError as exc:
-        raise CliError(EXIT_MODEL, f"cannot read donor weights: {exc}") from exc
-    except WeightFileError as exc:
-        raise CliError(EXIT_MODEL, f"bad donor weights: {exc}") from exc
-    model = build_model(preset.model, seed=preset.train.seed)
-    try:
+
+    def build(donor):
+        model = build_model(preset.model, seed=preset.train.seed)
         transfer_init(model, donor, reinit_head=not args.keep_head,
                       seed=preset.train.seed)
-    except (KeyError, ShapeError) as exc:
-        raise CliError(EXIT_MODEL, f"transfer failed: {exc}") from exc
-    _fit(args, preset, model)
+        return model
+
+    _fit(args, preset, _load_model(args.donor_weights, build, "donor weights",
+                                   "transfer failed"))
     print(f"fine-tuned from {args.donor_weights} for {preset.train.epochs} epochs")
     return EXIT_OK
-
-
-def _load_seg_model(weights_path: str, size: int):
-    try:
-        store = load_weights(weights_path)
-        config = nabla3_config_from_store(store, (1, size, size))
-        model = build_model(config, seed=0)
-        assign_weights(model, store)
-    except OSError as exc:
-        raise CliError(EXIT_MODEL, f"cannot read weights: {exc}") from exc
-    except (WeightFileError, KeyError, ShapeError, ValueError) as exc:
-        raise CliError(EXIT_MODEL, f"bad weights: {exc}") from exc
-    return model
 
 
 def cmd_pipeline(args) -> int:
     if bool(args.image) == bool(args.dataset):
         raise CliError(EXIT_ARGS, "give exactly one of --image or --dataset")
-    model = _load_seg_model(args.weights, args.size)
+    model = _load_model(args.weights, _rebuild(nabla3_config_from_store, args.size))
     if args.image:
         paths = [Path(args.image)]
     else:
@@ -202,7 +206,7 @@ def cmd_pipeline(args) -> int:
         try:
             img = load_image(path.read_bytes())
         except (OSError, PnmError) as exc:
-            summary_lines.append(f"file={path.name} error={exc}")
+            summary_lines.append(kvtext.to_text({"file": path.name, "error": str(exc)}, " "))
             failures += 1
             continue
         if img.ndim == 3:
@@ -215,17 +219,18 @@ def cmd_pipeline(args) -> int:
         (out / f"{stem}_infected.pgm").write_bytes(save_mask(result.infected_mask))
         (out / f"{stem}_heatmap.ppm").write_bytes(save_image(result.heatmap))
         (out / f"{stem}_report.txt").write_text(report_to_text(result.report))
-        summary_lines.append(
-            f"file={path.name} lung_pixels={result.report.lung_pixels} "
-            f"infected_pixels={result.report.infected_pixels} "
-            f"percent={result.report.percent_text}")
+        summary_lines.append(kvtext.to_text({
+            "file": path.name, "lung_pixels": str(result.report.lung_pixels),
+            "infected_pixels": str(result.report.infected_pixels),
+            "percent": result.report.percent_text}, " "))
         percents.append(result.report.percent)
     if failures == len(paths):
         raise CliError(EXIT_DATA, "every input failed to load")
     mean_percent = float(np.mean(percents)) if percents else 0.0
-    summary_lines.append(f"processed={len(percents)} failed={failures} "
-                         f"mean_percent={mean_percent:.2f}")
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
+    summary_lines.append(kvtext.to_text({
+        "processed": str(len(percents)), "failed": str(failures),
+        "mean_percent": f"{mean_percent:.2f}"}, " "))
+    (out / "summary.txt").write_text("".join(summary_lines))
     print(f"processed {len(percents)} image(s); summary in {out / 'summary.txt'}")
     return EXIT_OK
 
@@ -233,20 +238,7 @@ def cmd_pipeline(args) -> int:
 def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        store = load_weights(args.weights)
-    except OSError as exc:
-        raise CliError(EXIT_MODEL, f"cannot read weights: {exc}") from exc
-    except WeightFileError as exc:
-        raise CliError(EXIT_MODEL, f"bad weights: {exc}") from exc
-
-    try:
-        if args.task == "classification":
-            ds = load_classification_corpus(args.dataset, args.part)
-        else:
-            ds = load_segmentation_corpus(args.dataset)
-    except (FileNotFoundError, PnmError, ValueError) as exc:
-        raise CliError(EXIT_DATA, f"cannot load dataset: {exc}") from exc
+    ds = _load_dataset(args.dataset, args.task == "segmentation", args.part)
     if args.size is None:
         h, w = ds.images[0].shape[:2]
         if h != w or h % 32:
@@ -254,17 +246,9 @@ def cmd_eval(args) -> int:
                            f"images are {w}x{h}; pass --size (multiple of 32)")
         args.size = h
     ds = _resize_dataset(ds, args.size)
-
-    try:
-        if args.task == "classification":
-            config = irrcnn_config_from_store(store, (1, args.size, args.size))
-        else:
-            config = nabla3_config_from_store(store, (1, args.size, args.size))
-        model = build_model(config, seed=0)
-        assign_weights(model, store)
-    except (WeightFileError, KeyError, ShapeError, ValueError) as exc:
-        raise CliError(EXIT_MODEL, f"bad weights: {exc}") from exc
-
+    config_from_store = (irrcnn_config_from_store if args.task == "classification"
+                         else nabla3_config_from_store)
+    model = _load_model(args.weights, _rebuild(config_from_store, args.size))
     if args.task == "classification":
         report = evaluate_classifier(model, ds)
     else:
@@ -330,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="model input size; images are resized to it")
     pl.set_defaults(func=cmd_pipeline)
 
-    ev = sub.add_parser("eval", help="score weights against a labeled corpus")
+    ev = sub.add_parser(
+        "eval", help="score weights against a labeled corpus",
+        description="Score weights against a labeled corpus. A CMTW v1 file does not store "
+                    "a classifier's recurrence steps t, so eval rebuilds it with "
+                    "recurrence_steps=2; weights trained with another t load but score wrong.")
     ev.add_argument("--task", choices=("classification", "segmentation"),
                     required=True)
     ev.add_argument("--dataset", required=True)

@@ -19,7 +19,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from . import kvtext
+from .training import to_batch
+
+SCORES = ("accuracy", "precision", "recall", "f1", "iou", "dice", "auc")
 
 
 def confusion_matrix(true_labels: Sequence[int], pred_labels: Sequence[int],
@@ -141,31 +144,25 @@ class MetricsReport:
     degenerate: bool = False
 
     def present(self) -> dict[str, float]:
-        fields = ("accuracy", "precision", "recall", "f1", "iou", "dice", "auc")
-        return {name: getattr(self, name) for name in fields
+        return {name: getattr(self, name) for name in SCORES
                 if getattr(self, name) is not None}
 
 
 def metrics_to_text(report: MetricsReport) -> str:
-    lines = [f"{name}={value:.4f}" for name, value in report.present().items()]
+    fields = {name: f"{value:.4f}" for name, value in report.present().items()}
     if report.degenerate:
-        lines.append("degenerate=true")
-    return "\n".join(lines) + "\n"
+        fields["degenerate"] = "true"
+    return kvtext.to_text(fields)
 
 
 def metrics_from_text(text: str) -> MetricsReport:
-    fields: dict[str, float] = {}
-    degenerate = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, value = line.split("=", 1)
-        if key == "degenerate":
-            degenerate = value == "true"
-        else:
-            fields[key] = float(value)
-    return MetricsReport(**fields, degenerate=degenerate)
+    """Raises :class:`kvtext.TextFormatError` on malformed text or an unknown key."""
+    fields = kvtext.from_text(text)
+    schema = {**dict.fromkeys(SCORES, float), "degenerate": kvtext.flag}
+    unknown = [key for key in fields if key not in schema]
+    if unknown:
+        raise kvtext.TextFormatError(f"unknown metric {unknown[0]!r}")
+    return MetricsReport(**kvtext.parse(fields, {key: schema[key] for key in fields}))
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +170,8 @@ def metrics_from_text(text: str) -> MetricsReport:
 
 
 def _forward_batches(model, images, batch_size):
-    from .training import minmax_normalize
-
-    outputs = []
-    for start in range(0, len(images), batch_size):
-        chunk = images[start:start + batch_size]
-        batch = Tensor(np.stack([minmax_normalize(img)[None] for img in chunk]))
-        outputs.append(model.forward(batch).data)
-    return np.concatenate(outputs, axis=0)
+    return np.concatenate([model.forward(to_batch(images[start:start + batch_size])).data
+                           for start in range(0, len(images), batch_size)], axis=0)
 
 
 def evaluate_classifier(model, ds, positive_class: int = 1,

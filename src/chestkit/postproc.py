@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kvtext
 from .imaging import resize
 from .tensor import Tensor
+from .training import to_batch
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_WINDOW = 15
@@ -302,19 +304,17 @@ def infection_percentage(lung: np.ndarray, infected: np.ndarray) -> InfectionRep
 
 
 def report_to_text(report: InfectionReport) -> str:
-    return ("lung_pixels={}\ninfected_pixels={}\npercent={}\ndegenerate={}\n"
-            .format(report.lung_pixels, report.infected_pixels,
-                    report.percent_text, "true" if report.degenerate else "false"))
+    return kvtext.to_text({"lung_pixels": str(report.lung_pixels),
+                           "infected_pixels": str(report.infected_pixels),
+                           "percent": report.percent_text,
+                           "degenerate": "true" if report.degenerate else "false"})
 
 
 def report_from_text(text: str) -> InfectionReport:
-    fields = dict(line.split("=", 1) for line in text.splitlines() if line.strip())
-    return InfectionReport(
-        lung_pixels=int(fields["lung_pixels"]),
-        infected_pixels=int(fields["infected_pixels"]),
-        percent=float(fields["percent"]),
-        degenerate=fields["degenerate"] == "true",
-    )
+    """Raises :class:`kvtext.TextFormatError` on malformed text."""
+    return InfectionReport(**kvtext.parse(kvtext.from_text(text), {
+        "lung_pixels": int, "infected_pixels": int, "percent": float,
+        "degenerate": kvtext.flag}))
 
 
 def heatmap_overlay(image: np.ndarray, infected: np.ndarray) -> np.ndarray:
@@ -384,13 +384,10 @@ def run_pipeline(image: np.ndarray, seg_model, mode: str = "chest",
     if mode not in REGIONS_PER_MODE:
         raise ValueError(f"mode must be one of {sorted(REGIONS_PER_MODE)}")
     k = regions_k if regions_k is not None else REGIONS_PER_MODE[mode]
-
-    from .training import minmax_normalize  # local import to avoid a cycle
-
     h, w = _model_input_hw(seg_model)
     resized = resize(np.asarray(image), w, h)
-    probs = seg_model.forward(Tensor(minmax_normalize(resized)[None]))
-    mask = binarize(probs, threshold)
+    probs = seg_model.forward(to_batch([resized]))
+    mask = binarize(probs.data[0], threshold)
     refined = open_mask(close_mask(mask))
     regions = connected_components(refined, connectivity=8)
     region_mask = select_largest(regions, k, shape=(h, w))

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kvtext
 from .imaging import load_image, load_mask, save_image, save_mask
 from .postproc import (
     InfectionReport,
@@ -37,9 +38,11 @@ from .postproc import (
     erode,
     infection_percentage,
     open_mask,
+    report_from_text,
+    report_to_text,
 )
 from .rng import DetRng, derive_seed
-from .training import LabeledDataset
+from .training import LabeledDataset, split_dataset
 
 LUNG_BASE = 100
 BLOB_GAIN = 80
@@ -166,10 +169,6 @@ def segmentation_sample_rng(spec: SynthSpec, index: int) -> DetRng:
     return DetRng(derive_seed(spec.seed, 202, index))
 
 
-def _two_lungs(size: int, rng: DetRng) -> np.ndarray:
-    return rasterize_lungs(sample_lung_geometry(size, rng), size)
-
-
 def _textured_background(size: int, rng: DetRng, lo: float = BACKGROUND_LO,
                          hi: float = BACKGROUND_HI) -> np.ndarray:
     return rng.uniform(lo, hi, size * size).reshape(size, size)
@@ -180,8 +179,8 @@ def gen_segmentation_set(spec: SynthSpec) -> LabeledDataset:
     images: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     for i in range(spec.count):
-        rng = DetRng(derive_seed(spec.seed, 202, i))
-        lungs = _two_lungs(spec.size, rng)
+        rng = segmentation_sample_rng(spec, i)
+        lungs = rasterize_lungs(sample_lung_geometry(spec.size, rng), spec.size)
         img = _textured_background(spec.size, rng)
         wobble = rng.normal(spec.size * spec.size).reshape(spec.size, spec.size)
         img[lungs] = 70.0 + 6.0 * wobble[lungs]
@@ -318,26 +317,19 @@ def exact_count_sample(lung_pixels: int, infected_pixels: int, size: int,
 
 
 def _manifest_text(kind: str, spec: SynthSpec, extra: dict[str, str]) -> str:
-    lines = [
-        f"kind={kind}",
-        f"count={spec.count}",
-        f"size={spec.size}",
-        f"seed={spec.seed}",
-        f"class_ratio={spec.class_ratio[0]}:{spec.class_ratio[1]}",
-    ]
-    lines.extend(f"{key}={value}" for key, value in extra.items())
-    return "\n".join(lines) + "\n"
+    return kvtext.to_text({"kind": kind, "count": str(spec.count), "size": str(spec.size),
+                           "seed": str(spec.seed),
+                           "class_ratio": f"{spec.class_ratio[0]}:{spec.class_ratio[1]}",
+                           **extra})
 
 
 def write_classification_corpus(root, spec: SynthSpec,
                                 train_fraction: float = 0.8) -> None:
     """Generate and lay out root/{train,test}/{class_name}/NNNN.pgm."""
-    from .training import split_dataset
-
     root = Path(root)
     ds = gen_classification_set(spec)
     train_ds, test_ds = split_dataset(ds, train_fraction, seed=spec.seed)
-    counts: dict[str, int] = {}
+    counts: dict[str, str] = {}
     for part, part_ds in (("train", train_ds), ("test", test_ds)):
         for cls, name in enumerate(part_ds.class_names):
             directory = root / part / name
@@ -345,9 +337,8 @@ def write_classification_corpus(root, spec: SynthSpec,
             members = [i for i, lab in enumerate(part_ds.labels) if lab == cls]
             for j, idx in enumerate(members):
                 (directory / f"{j:04d}.pgm").write_bytes(save_image(part_ds.images[idx]))
-            counts[f"{part}_{name}"] = len(members)
-    extra = {key: str(value) for key, value in counts.items()}
-    (root / "manifest.txt").write_text(_manifest_text("classification", spec, extra))
+            counts[f"{part}_{name}"] = str(len(members))
+    (root / "manifest.txt").write_text(_manifest_text("classification", spec, counts))
 
 
 def load_classification_corpus(root, part: str = "train") -> LabeledDataset:
@@ -403,8 +394,6 @@ def load_segmentation_corpus(root) -> LabeledDataset:
 
 def write_infection_corpus(root, spec: SynthSpec) -> None:
     """Images plus lung masks, infected masks, and per-sample reports."""
-    from .postproc import report_to_text
-
     root = Path(root)
     samples = gen_infection_set(spec)
     for sub in ("images", "masks", "infected", "reports"):
@@ -418,8 +407,6 @@ def write_infection_corpus(root, spec: SynthSpec) -> None:
 
 
 def load_infection_corpus(root) -> list[InfectionSample]:
-    from .postproc import report_from_text
-
     root = Path(root)
     samples: list[InfectionSample] = []
     image_dir = root / "images"

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kvtext
 from .models import ModelConfig, ParamStore, copy_params
 from .rng import DetRng, derive_seed
 from .tensor import ShapeError, Tape, Tensor, apply_op, he_init
@@ -230,6 +231,15 @@ def minmax_normalize(image: np.ndarray) -> np.ndarray:
     return (img - lo) / (hi - lo)
 
 
+def to_batch(images: list[np.ndarray]) -> Tensor:
+    """Min-max normalise each image and stack them to ``[B, 1, H, W]``."""
+    return Tensor(np.stack([minmax_normalize(img)[None] for img in images]))
+
+
+# perfbench's tracer wraps train's batching by this name; without it training.batch_s reads 0
+_batch_tensor = to_batch
+
+
 def flip_horizontal(image: np.ndarray) -> np.ndarray:
     return image[:, ::-1].copy()
 
@@ -383,10 +393,6 @@ class EpochRecord:
     clamped: float | None = None
 
 
-def _batch_tensor(images: list[np.ndarray]) -> Tensor:
-    return Tensor(np.stack([minmax_normalize(img)[None] for img in images]))
-
-
 def _divergence(loss: Tensor, grads: dict[str, np.ndarray],
                 picked: np.ndarray | None) -> str | None:
     """Why a batch diverged, or None; reads values only."""
@@ -497,49 +503,27 @@ class Preset:
     train: TrainConfig
 
 
-def _presets() -> dict[str, Preset]:
-    full = {
-        # chest X-ray detection: lr 1e-3, batch 32, 75 epochs, 10x decay
-        # every 25 epochs, cross-entropy on the softmax pair
-        "xray-det": Preset(
-            "xray-det",
-            ModelConfig("irrcnn", (1, 128, 128), num_classes=2),
-            TrainConfig(base_lr=1e-3, batch_size=32, epochs=75),
-        ),
-        # CT detection: 150 epochs at batch 16
-        "ct-det": Preset(
-            "ct-det",
-            ModelConfig("irrcnn", (1, 192, 192), num_classes=2),
-            TrainConfig(base_lr=3e-4, batch_size=16, epochs=150),
-        ),
-        # segmentation: lr 3e-4 with Dice loss, batch 8
-        "seg": Preset(
-            "seg",
-            ModelConfig("nabla3", (1, 256, 256)),
-            TrainConfig(base_lr=3e-4, batch_size=8, epochs=150, loss="dice"),
-        ),
-    }
-    desk = {
-        "xray-det-desk": Preset(
-            "xray-det-desk",
-            ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2),
-            TrainConfig(base_lr=1e-3, batch_size=32, epochs=15),
-        ),
-        "ct-det-desk": Preset(
-            "ct-det-desk",
-            ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2),
-            TrainConfig(base_lr=3e-4, batch_size=16, epochs=15),
-        ),
-        "seg-desk": Preset(
-            "seg-desk",
-            ModelConfig("nabla3", (1, 64, 64), width_scale=0.125),
-            TrainConfig(base_lr=3e-4, batch_size=8, epochs=20, loss="dice"),
-        ),
-    }
-    return {**full, **desk}
-
-
-PRESETS = _presets()
+PRESETS = {preset.name: preset for preset in (
+    # chest X-ray detection: lr 1e-3, batch 32, 75 epochs, 10x decay every
+    # 25 epochs, cross-entropy on the softmax pair
+    Preset("xray-det", ModelConfig("irrcnn", (1, 128, 128), num_classes=2),
+           TrainConfig(base_lr=1e-3, batch_size=32, epochs=75)),
+    # CT detection: 150 epochs at batch 16
+    Preset("ct-det", ModelConfig("irrcnn", (1, 192, 192), num_classes=2),
+           TrainConfig(base_lr=3e-4, batch_size=16, epochs=150)),
+    # segmentation: lr 3e-4 with Dice loss, batch 8
+    Preset("seg", ModelConfig("nabla3", (1, 256, 256)),
+           TrainConfig(base_lr=3e-4, batch_size=8, epochs=150, loss="dice")),
+    # desk variants: 1/8 width, small inputs, few epochs
+    Preset("xray-det-desk",
+           ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2),
+           TrainConfig(base_lr=1e-3, batch_size=32, epochs=15)),
+    Preset("ct-det-desk",
+           ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2),
+           TrainConfig(base_lr=3e-4, batch_size=16, epochs=15)),
+    Preset("seg-desk", ModelConfig("nabla3", (1, 64, 64), width_scale=0.125),
+           TrainConfig(base_lr=3e-4, batch_size=8, epochs=20, loss="dice")),
+)}
 
 
 def get_preset(name: str, epochs: int | None = None, batch_size: int | None = None,
@@ -566,47 +550,40 @@ def _optional(value: float | None, spec: str) -> str:
     return "-" if value is None else format(value, spec)
 
 
+def _optional_float(text: str) -> float | None:
+    return None if text == "-" else float(text)
+
+
+_HISTORY_COLUMNS = {"epoch": int, "lr": float, "loss": float, "metric": float,
+                    "grad_norm": _optional_float, "clamped": _optional_float}
+
+
 def history_to_text(history: list[EpochRecord]) -> str:
     """One line per epoch; a missing ``grad_norm`` or ``clamped`` prints ``-``."""
-    lines = ["# epoch lr loss metric grad_norm clamped"]
-    for rec in history:
-        lines.append(f"epoch={rec.epoch} lr={rec.lr:.10g} "
-                     f"loss={rec.loss:.6f} metric={rec.metric:.6f} "
-                     f"grad_norm={_optional(rec.grad_norm, '.6g')} "
-                     f"clamped={_optional(rec.clamped, '.6f')}")
-    return "\n".join(lines) + "\n"
+    return "# " + " ".join(_HISTORY_COLUMNS) + "\n" + "".join(kvtext.to_text({
+        "epoch": str(rec.epoch), "lr": f"{rec.lr:.10g}", "loss": f"{rec.loss:.6f}",
+        "metric": f"{rec.metric:.6f}", "grad_norm": _optional(rec.grad_norm, ".6g"),
+        "clamped": _optional(rec.clamped, ".6f")}, " ") for rec in history)
 
 
 def history_from_text(text: str) -> list[EpochRecord]:
+    """Reads :func:`history_to_text`, and files without the last two columns;
+    raises :class:`kvtext.TextFormatError` on a malformed line."""
     out = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = dict(part.split("=", 1) for part in line.split())
-        optional = {key: None if fields.get(key, "-") == "-" else float(fields[key])
-                    for key in ("grad_norm", "clamped")}
-        out.append(EpochRecord(epoch=int(fields["epoch"]), lr=float(fields["lr"]),
-                               loss=float(fields["loss"]), metric=float(fields["metric"]),
-                               **optional))
+        if line.strip() and not line.lstrip().startswith("#"):
+            fields = {"grad_norm": "-", "clamped": "-", **kvtext.from_text(line)}
+            out.append(EpochRecord(**kvtext.parse(fields, _HISTORY_COLUMNS)))
     return out
 
 
 def preset_to_text(preset: Preset) -> str:
     m, t = preset.model, preset.train
-    lines = [
-        f"preset={preset.name}",
-        f"architecture={m.architecture}",
-        f"input_shape={m.input_shape[0]}x{m.input_shape[1]}x{m.input_shape[2]}",
-        f"width_scale={m.width_scale:.10g}",
-        f"num_classes={m.num_classes if m.num_classes is not None else '-'}",
-        f"recurrence_steps={m.recurrence_steps}",
-        f"base_lr={t.base_lr:.10g}",
-        f"batch_size={t.batch_size}",
-        f"epochs={t.epochs}",
-        f"lr_decay_every={t.lr_decay_every}",
-        f"lr_decay_factor={t.lr_decay_factor:.10g}",
-        f"loss={t.loss}",
-        f"seed={t.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    return kvtext.to_text({
+        "preset": preset.name, "architecture": m.architecture,
+        "input_shape": "x".join(str(n) for n in m.input_shape),
+        "width_scale": f"{m.width_scale:.10g}", "num_classes": _optional(m.num_classes, "d"),
+        "recurrence_steps": str(m.recurrence_steps), "base_lr": f"{t.base_lr:.10g}",
+        "batch_size": str(t.batch_size), "epochs": str(t.epochs),
+        "lr_decay_every": str(t.lr_decay_every),
+        "lr_decay_factor": f"{t.lr_decay_factor:.10g}", "loss": t.loss, "seed": str(t.seed)})

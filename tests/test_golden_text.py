@@ -1,17 +1,28 @@
-"""Golden bytes of every ``key=value`` file chestkit writes.
+"""Golden bytes of every ``key=value`` file chestkit writes, and the typed
+error its readers raise on malformed text.
 
 The round-trip and substring tests elsewhere would pass under a change of
 field order, separator or number format; these pin the exact text.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from chestkit.cli import run
-from chestkit.metrics import MetricsReport, metrics_to_text
+from chestkit.kvtext import TextFormatError
+from chestkit.metrics import MetricsReport, metrics_from_text, metrics_to_text
 from chestkit.models import build_model, save_weights
-from chestkit.postproc import InfectionReport, report_to_text
-from chestkit.training import EpochRecord, get_preset, history_to_text, preset_to_text
+from chestkit.postproc import InfectionReport, report_from_text, report_to_text
+from chestkit.synthdata import SynthSpec, load_infection_corpus, write_infection_corpus
+from chestkit.training import (
+    EpochRecord,
+    get_preset,
+    history_from_text,
+    history_to_text,
+    preset_to_text,
+)
 
 MANIFESTS = {
     "classification": (
@@ -124,3 +135,43 @@ def test_pipeline_summary_and_report_bytes(tmp_path):
         b"processed=2 failed=1 mean_percent=35.02\n")
     assert (out / "0000_report.txt").read_bytes() == (
         b"lung_pixels=4096\ninfected_pixels=1461\npercent=35.66\ndegenerate=false\n")
+
+
+def corrupted_corpus_report(tmp_path, text):
+    root = tmp_path / "corpus"
+    write_infection_corpus(root, SynthSpec(count=1, size=64, seed=4))
+    (root / "reports" / "0000.txt").write_text(text)
+    return load_infection_corpus(root)
+
+
+READERS = {
+    "metrics": lambda tmp_path, text: metrics_from_text(text),
+    "history": lambda tmp_path, text: history_from_text(text),
+    "report": lambda tmp_path, text: report_from_text(text),
+    "corpus": corrupted_corpus_report,
+}
+
+
+@pytest.mark.parametrize("reader, text, named", [
+    ("metrics", "accuracy\n", "'accuracy'"),
+    ("metrics", "accuracy=0.5\nbogus=1\n", "'bogus'"),
+    ("metrics", "accuracy=0.5\naccuracy=0.6\n", "'accuracy=0.6'"),
+    ("metrics", "=0.5\n", "'=0.5'"),
+    ("metrics", "accuracy=high\n", "accuracy=high"),
+    ("metrics", "accuracy=0.5\ndegenerate=maybe\n", "degenerate=maybe"),
+    ("history", "epoch0\n", "'epoch0'"),
+    ("history", "epoch=0 lr=1\n", "'loss'"),
+    ("history", "epoch=0.5 lr=1 loss=1 metric=1\n", "epoch=0.5"),
+    ("history", "epoch=0 lr=1 loss=1 metric=1 grad_norm=big\n", "grad_norm=big"),
+    ("report", "lung_pixels=3\n", "'infected_pixels'"),
+    ("report", "lung_pixels=3\ninfected_pixels=1\npercent=33.33\n", "'degenerate'"),
+    ("corpus", "lung_pixels=759\ninfected_pixels=thirteen\npercent=1.71\ndegenerate=false\n",
+     "infected_pixels=thirteen"),
+], ids=["metrics-no-equals", "metrics-unknown-key", "metrics-repeated-key",
+        "metrics-empty-key", "metrics-bad-number", "metrics-bad-flag",
+        "history-no-equals", "history-missing-field", "history-bad-int",
+        "history-bad-optional", "report-missing-field", "report-missing-flag",
+        "corpus-report-bad-number"])
+def test_malformed_text_raises_typed_error_naming_it(tmp_path, reader, text, named):
+    with pytest.raises(TextFormatError, match=re.escape(named)):
+        READERS[reader](tmp_path, text)
