@@ -347,11 +347,11 @@ class OracleSegmenter:
         self.input_shape = (1, h, w)
 
     def forward(self, batch: Tensor) -> Tensor:
-        probs = self.mask.astype(np.float64)
         if batch.ndim == 4:
-            return Tensor(np.broadcast_to(probs[None, None],
-                                          (batch.shape[0], 1, *probs.shape)).copy())
-        return Tensor(probs[None])
+            # repeat the bool mask and cast once: one float64 allocation
+            return Tensor(np.repeat(self.mask[None, None], batch.shape[0], axis=0)
+                          .astype(np.float64))
+        return Tensor(self.mask.astype(np.float64)[None])
 
 
 @dataclass(frozen=True)
