@@ -11,7 +11,7 @@ from pathlib import Path
 
 from chestkit import SynthSpec, gen_infection_set, train
 from chestkit.imaging import save_image
-from chestkit.models import build_nabla3
+from chestkit.models import build_model
 from chestkit.postproc import OracleSegmenter, run_pipeline
 from chestkit.training import LabeledDataset, get_preset
 
@@ -27,7 +27,7 @@ print(f"oracle pipeline: reported {oracle.report.percent_text}% "
 
 # now the same chain behind a trained segmenter
 preset = get_preset("seg-desk", epochs=10, seed=2)
-model = build_nabla3(preset.model, seed=2)
+model = build_model(preset.model, seed=2)
 ds = LabeledDataset(images=[s.image for s in train_samples],
                     masks=[s.lung_mask for s in train_samples])
 _, history = train(model, ds, preset.train)

@@ -8,7 +8,7 @@ Run:  python demos/demo_train_classifier.py   (about 5 s)
 
 from chestkit import SynthSpec, gen_classification_set, split_dataset, train
 from chestkit.metrics import evaluate_classifier, metrics_to_text
-from chestkit.models import build_irrcnn, param_count, save_weights
+from chestkit.models import build_model, param_count, save_weights
 from chestkit.training import get_preset
 
 corpus = gen_classification_set(SynthSpec(count=200, size=32, seed=1))
@@ -17,7 +17,7 @@ print(f"{len(train_set)} training / {len(test_set)} test samples, "
       f"class counts {train_set.class_counts()}")
 
 preset = get_preset("xray-det-desk", epochs=8, seed=1)
-model = build_irrcnn(preset.model, seed=1)
+model = build_model(preset.model, seed=1)
 print(f"classifier has {param_count(model):,} parameters at width 1/8")
 
 _, history = train(model, train_set, preset.train)

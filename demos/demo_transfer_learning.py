@@ -6,14 +6,14 @@ Run:  python demos/demo_transfer_learning.py   (about 20 s)
 
 from chestkit import SynthSpec, gen_classification_set, split_dataset, train, transfer_init
 from chestkit.metrics import evaluate_classifier
-from chestkit.models import ModelConfig, build_irrcnn
+from chestkit.models import ModelConfig, build_model
 from chestkit.training import TrainConfig
 
 CONFIG = ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2)
 
 # task A: plentiful, strong opacities
 task_a = gen_classification_set(SynthSpec(count=400, size=32, seed=100))
-donor = build_irrcnn(CONFIG, seed=50)
+donor = build_model(CONFIG, seed=50)
 train(donor, task_a, TrainConfig(base_lr=1e-3, batch_size=32, epochs=10, seed=50))
 print("donor trained on task A")
 
@@ -36,9 +36,9 @@ def epochs_to_reach_90(model, seed):
 
 
 seed = 1
-warm = build_irrcnn(CONFIG, seed=seed)
+warm = build_model(CONFIG, seed=seed)
 transfer_init(warm, donor.params, reinit_head=True, seed=seed)
-cold = build_irrcnn(CONFIG, seed=seed)
+cold = build_model(CONFIG, seed=seed)
 
 warm_epochs = epochs_to_reach_90(warm, seed)
 cold_epochs = epochs_to_reach_90(cold, seed)

@@ -21,12 +21,11 @@ from .metrics import (
     roc_auc,
 )
 from .models import (
+    IRRU,
     IRRUConfig,
     ModelConfig,
     ParamStore,
-    build_irrcnn,
-    build_irru,
-    build_nabla3,
+    build_model,
     load_weights,
     param_count,
     recurrent_conv,

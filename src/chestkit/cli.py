@@ -19,11 +19,10 @@ from .imaging import PnmError, load_image, resize, save_mask, save_image, to_gra
 from .metrics import evaluate_classifier, evaluate_segmenter, metrics_to_text
 from .models import (
     WeightFileError,
+    WeightVersionError,
     assign_weights,
     build_model,
-    irrcnn_config_from_store,
     load_weights,
-    nabla3_config_from_store,
     save_weights,
 )
 from .postproc import report_to_text, run_pipeline
@@ -67,13 +66,14 @@ def _parse_ratio(text: str) -> tuple[int, int]:
         raise CliError(EXIT_ARGS, f"bad ratio {text!r}; expected like 1:3") from exc
 
 
-def _resize_dataset(ds: LabeledDataset, size: int) -> LabeledDataset:
-    if all(img.shape == (size, size) for img in ds.images):
+def _resize_dataset(ds: LabeledDataset, input_shape: tuple[int, int, int]) -> LabeledDataset:
+    _, h, w = input_shape
+    if all(img.shape == (h, w) for img in ds.images):
         return ds
     return LabeledDataset(
-        images=[resize(img, size, size) for img in ds.images],
+        images=[resize(img, w, h) for img in ds.images],
         labels=ds.labels,
-        masks=None if ds.masks is None else [resize(m, size, size) for m in ds.masks],
+        masks=None if ds.masks is None else [resize(m, w, h) for m in ds.masks],
         class_names=ds.class_names,
     )
 
@@ -100,14 +100,20 @@ def _load_model(path: str, build, what: str = "weights", failure: str = "bad wei
         raise CliError(EXIT_MODEL, f"{failure}: {exc}") from exc
 
 
-def _rebuild(config_from_store, size: int):
-    """A ``build`` for :func:`_load_model`: the network the stored shapes
-    describe, for ``size`` x ``size`` input, holding the stored weights."""
+def _load_trained(path: str):
+    """The network the weight file at ``path`` was saved from, holding its
+    weights; exits with code 4 as :func:`_load_model` does, and for a
+    version 1 file, which does not say which network it holds."""
     def build(store):
-        model = build_model(config_from_store(store, (1, size, size)), seed=0)
+        if store.config is None:
+            raise WeightVersionError(
+                "CMTW version 1 does not say which network it holds; convert it "
+                f"with: chestkit transfer --donor-weights {path} --preset <preset> "
+                "--epochs 0 --keep-head --dataset <any corpus> --out new/")
+        model = build_model(store.config)
         assign_weights(model, store)
         return model
-    return build
+    return _load_model(path, build)
 
 
 def _fit(args, preset, model) -> None:
@@ -116,7 +122,7 @@ def _fit(args, preset, model) -> None:
     ds = _load_dataset(args.dataset, preset.train.loss == "dice")
     if preset.train.loss == "cross_entropy":
         ds = balance_classes(ds, seed=preset.train.seed)
-    ds = _resize_dataset(ds, preset.model.input_shape[1])
+    ds = _resize_dataset(ds, preset.model.input_shape)
     try:
         store, history = train(model, ds, preset.train)
     except TrainingDivergedError as exc:
@@ -187,7 +193,10 @@ def cmd_transfer(args) -> int:
 def cmd_pipeline(args) -> int:
     if bool(args.image) == bool(args.dataset):
         raise CliError(EXIT_ARGS, "give exactly one of --image or --dataset")
-    model = _load_model(args.weights, _rebuild(nabla3_config_from_store, args.size))
+    model = _load_trained(args.weights)
+    if model.config.architecture != "nabla3":
+        raise CliError(EXIT_MODEL, f"pipeline needs segmenter (nabla3) weights; "
+                                   f"{args.weights} holds an {model.config.architecture} network")
     if args.image:
         paths = [Path(args.image)]
     else:
@@ -238,21 +247,14 @@ def cmd_pipeline(args) -> int:
 def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ds = _load_dataset(args.dataset, args.task == "segmentation", args.part)
-    if args.size is None:
-        h, w = ds.images[0].shape[:2]
-        if h != w or h % 32:
-            raise CliError(EXIT_ARGS,
-                           f"images are {w}x{h}; pass --size (multiple of 32)")
-        args.size = h
-    ds = _resize_dataset(ds, args.size)
-    config_from_store = (irrcnn_config_from_store if args.task == "classification"
-                         else nabla3_config_from_store)
-    model = _load_model(args.weights, _rebuild(config_from_store, args.size))
-    if args.task == "classification":
-        report = evaluate_classifier(model, ds)
-    else:
+    model = _load_trained(args.weights)
+    segmenter = model.config.architecture == "nabla3"
+    ds = _resize_dataset(_load_dataset(args.dataset, segmenter, args.part),
+                         model.config.input_shape)
+    if segmenter:
         report = evaluate_segmenter(model, ds, threshold=args.threshold)
+    else:
+        report = evaluate_classifier(model, ds)
     text = metrics_to_text(report)
     (out / "metrics.txt").write_text(text)
     print(text, end="")
@@ -310,22 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--window", type=int, default=15)
     pl.add_argument("--offset", type=float, default=5.0)
     pl.add_argument("--regions-k", type=int, default=None)
-    pl.add_argument("--size", type=int, default=64,
-                    help="model input size; images are resized to it")
     pl.set_defaults(func=cmd_pipeline)
 
     ev = sub.add_parser(
         "eval", help="score weights against a labeled corpus",
-        description="Score weights against a labeled corpus. A CMTW v1 file does not store "
-                    "a classifier's recurrence steps t, so eval rebuilds it with "
-                    "recurrence_steps=2; weights trained with another t load but score wrong.")
-    ev.add_argument("--task", choices=("classification", "segmentation"),
-                    required=True)
+        description="Score weights against a labeled corpus. The network, and so the "
+                    "corpus kind (classification for irrcnn, segmentation for nabla3) "
+                    "and the input size the images are resized to, come from the "
+                    "weight file; a CMTW version 1 file exits with code 4.")
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--weights", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--part", choices=("train", "test"), default="test")
-    ev.add_argument("--size", type=int, default=None)
     ev.add_argument("--threshold", type=float, default=0.5)
     ev.set_defaults(func=cmd_eval)
 

@@ -14,10 +14,10 @@ them open):
   ``z0 = conv(x, Wf)``, ``zk = relu(conv(x, Wf) + conv(z(k-1), Wr))``.
   ``t = 0`` degenerates to ``relu(conv(x, Wf))``.  Default ``t = 2``.
 * A classifier unit runs one recurrent convolution per branch kernel
-  (1x1 and 3x3 by default, channels split as evenly as possible with the
-  remainder on the largest kernel), concatenates the branches, and adds
-  the input back, projected through a 1x1 convolution when the channel
-  counts differ.
+  (1x1 and 3x3, ``IRRU_BRANCH_KERNELS``; channels split as evenly as
+  possible with the remainder on the largest kernel), concatenates the
+  branches, and adds the input back, projected through a 1x1
+  convolution when the channel counts differ.
 * The classifier stacks five such units with 2x2 max-pooling in between,
   then global average pooling, a fully-connected layer, and softmax.
   Per-unit widths at width_scale 1 are 64, 128, 256, 512, 1024.
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kvtext
 from .rng import derive_seed
 from .tensor import (
     ShapeError,
@@ -59,6 +60,7 @@ from .tensor import (
 
 IRRCNN_UNIT_WIDTHS = (64, 128, 256, 512, 1024)
 NABLA_ENCODER_WIDTHS = (16, 32, 64, 128, 256, 512)
+IRRU_BRANCH_KERNELS = (1, 3)
 POOL_STAGES = 5  # both nets shrink by 2**5, so inputs must divide by 32
 
 
@@ -67,17 +69,16 @@ class IRRUConfig:
     in_channels: int
     out_channels: int
     recurrence_steps: int = 2
-    branch_kernels: tuple[int, ...] = (1, 3)
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be positive")
         if self.recurrence_steps < 0:
             raise ValueError("recurrence_steps must be >= 0")
-        if self.out_channels < len(self.branch_kernels):
+        if self.out_channels < len(IRRU_BRANCH_KERNELS):
             raise ValueError(
                 f"cannot split {self.out_channels} channels over "
-                f"{len(self.branch_kernels)} branches")
+                f"{len(IRRU_BRANCH_KERNELS)} branches")
 
 
 @dataclass(frozen=True)
@@ -87,18 +88,38 @@ class ModelConfig:
     width_scale: float = 1.0
     num_classes: int | None = None
     recurrence_steps: int = 2
-    irru_widths: tuple[int, ...] = IRRCNN_UNIT_WIDTHS
-    encoder_widths: tuple[int, ...] = NABLA_ENCODER_WIDTHS
 
     def __post_init__(self):
         if self.architecture not in ("irrcnn", "nabla3"):
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ValueError(f"input_shape must be [C,H,W], got {self.input_shape}")
-        if self.width_scale <= 0:
-            raise ValueError("width_scale must be positive")
+        div = 2 ** POOL_STAGES
+        if self.input_shape[1] % div or self.input_shape[2] % div:
+            raise ValueError(f"input spatial dims must be divisible by {div}, "
+                             f"got {self.input_shape[1]}x{self.input_shape[2]}")
+        if not 0 < self.width_scale < math.inf:
+            raise ValueError("width_scale must be positive and finite")
         if self.architecture == "irrcnn" and (self.num_classes or 0) < 2:
             raise ValueError("irrcnn needs num_classes >= 2")
+
+
+def model_config_fields(config: ModelConfig) -> dict[str, str]:
+    """The ``key=value`` fields of a config, as ``config.txt`` and CMTW v2
+    write them; :func:`load_weights` reads them back."""
+    return {"architecture": config.architecture,
+            "input_shape": "x".join(str(n) for n in config.input_shape),
+            "width_scale": f"{config.width_scale:.10g}",
+            "num_classes": "-" if config.num_classes is None else str(config.num_classes),
+            "recurrence_steps": str(config.recurrence_steps)}
+
+
+_MODEL_CONFIG_FIELDS = {
+    "architecture": str,
+    "input_shape": lambda text: tuple(int(n) for n in text.split("x")),
+    "width_scale": float,
+    "num_classes": lambda text: None if text == "-" else int(text),
+    "recurrence_steps": int}
 
 
 def scaled_width(base: int, width_scale: float) -> int:
@@ -111,10 +132,12 @@ class DuplicateNameError(ValueError):
 
 
 class ParamStore:
-    """Ordered, uniquely-named map of parameter tensors."""
+    """Ordered, uniquely-named map of parameter tensors, with the config of
+    the model they belong to (None for a store no model built)."""
 
-    def __init__(self):
+    def __init__(self, config: ModelConfig | None = None):
         self._params: dict[str, Tensor] = {}
+        self.config = config
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if not name:
@@ -228,12 +251,12 @@ class IRRU:
                  prefix: str = "irru", seed: int = 0):
         self.cfg = cfg
         self.params = store if store is not None else ParamStore()
-        counts = _branch_split(cfg.out_channels, cfg.branch_kernels)
+        counts = _branch_split(cfg.out_channels, IRRU_BRANCH_KERNELS)
         self.branches = [
             RecurrentConv(self.params, f"{prefix}.br{k}", cfg.in_channels, c,
                           k, cfg.recurrence_steps, derive_seed(seed, 10 + i),
                           init_gain=self.INIT_GAIN)
-            for i, (k, c) in enumerate(zip(cfg.branch_kernels, counts))
+            for i, (k, c) in enumerate(zip(IRRU_BRANCH_KERNELS, counts))
         ]
         if cfg.in_channels != cfg.out_channels:
             proj = he_init((cfg.out_channels, cfg.in_channels, 1, 1),
@@ -256,19 +279,8 @@ class IRRU:
         return add(cat, residual)
 
 
-def build_irru(cfg: IRRUConfig, seed: int = 0) -> IRRU:
-    return IRRU(cfg, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # the two model graphs
-
-
-def _check_pool_divisibility(h: int, w: int):
-    div = 2 ** POOL_STAGES
-    if h % div or w % div:
-        raise ValueError(
-            f"input spatial dims must be divisible by {div}, got {h}x{w}")
 
 
 class Irrcnn:
@@ -279,14 +291,12 @@ class Irrcnn:
     def __init__(self, config: ModelConfig, seed: int = 0):
         if config.architecture != "irrcnn":
             raise ValueError("config is not an irrcnn config")
-        c, h, w = config.input_shape
-        _check_pool_divisibility(h, w)
         self.config = config
-        self.params = ParamStore()
+        self.params = ParamStore(config)
 
-        widths = [scaled_width(b, config.width_scale) for b in config.irru_widths]
+        widths = [scaled_width(b, config.width_scale) for b in IRRCNN_UNIT_WIDTHS]
         self.units = []
-        c_in = c
+        c_in = config.input_shape[0]
         for i, c_out in enumerate(widths, start=1):
             unit = IRRU(IRRUConfig(c_in, c_out, config.recurrence_steps),
                         store=self.params, prefix=f"unit{i}",
@@ -314,15 +324,13 @@ class Nabla3:
     def __init__(self, config: ModelConfig, seed: int = 0):
         if config.architecture != "nabla3":
             raise ValueError("config is not a nabla3 config")
-        c, h, w = config.input_shape
-        _check_pool_divisibility(h, w)
         self.config = config
-        self.params = ParamStore()
+        self.params = ParamStore(config)
 
-        widths = [scaled_width(b, config.width_scale) for b in config.encoder_widths]
+        widths = [scaled_width(b, config.width_scale) for b in NABLA_ENCODER_WIDTHS]
         self.widths = widths
         self.enc = []
-        c_in = c
+        c_in = config.input_shape[0]
         for i, c_out in enumerate(widths, start=1):
             wt = self.params.add(f"enc{i}.weight", he_init(
                 (c_out, c_in, 3, 3), c_in * 9, derive_seed(seed, i),
@@ -387,14 +395,6 @@ def _check_batch_shape(batch: Tensor, input_shape: tuple[int, int, int], arch: s
             f"{arch} built for input {tuple(input_shape)}, got {tuple(got)}")
 
 
-def build_irrcnn(config: ModelConfig, seed: int = 0) -> Irrcnn:
-    return Irrcnn(config, seed=seed)
-
-
-def build_nabla3(config: ModelConfig, seed: int = 0) -> Nabla3:
-    return Nabla3(config, seed=seed)
-
-
 def build_model(config: ModelConfig, seed: int = 0) -> ModelGraph:
     if config.architecture == "irrcnn":
         return Irrcnn(config, seed=seed)
@@ -409,13 +409,19 @@ def param_count(model) -> int:
 # ---------------------------------------------------------------------------
 # weight persistence (CMTW format)
 #
-# magic "CMTW" | u32 version=1 | u32 tensor count | per tensor:
+# magic "CMTW" | u32 version | u32 tensor count |
+#   version 2 only: u32 config length | utf-8 config text |
+# per tensor:
 #   u32 name length | utf-8 name | u32 ndim | ndim * u32 dims |
 #   prod(dims) * float32 little-endian values
+#
+# The config text is the ``key=value`` lines of model_config_fields, so a
+# version 2 file says which network it holds.  A store without a config
+# (one no model built) is written as version 1, and a version 1 file loads
+# as a store without one.
 
 
 WEIGHT_MAGIC = b"CMTW"
-WEIGHT_VERSION = 1
 
 
 class WeightFileError(ValueError):
@@ -442,7 +448,12 @@ def save_weights(store: ParamStore, destination) -> None:
     """Write a ParamStore to a path or binary stream (float32 payload)."""
     buf = io.BytesIO()
     buf.write(WEIGHT_MAGIC)
-    buf.write(struct.pack("<II", WEIGHT_VERSION, len(store)))
+    if store.config is None:
+        buf.write(struct.pack("<II", 1, len(store)))
+    else:
+        config = kvtext.to_text(model_config_fields(store.config)).encode("utf-8")
+        buf.write(struct.pack("<III", 2, len(store), len(config)))
+        buf.write(config)
     for name, t in store.items():
         encoded = name.encode("utf-8")
         if not encoded:
@@ -461,7 +472,8 @@ def save_weights(store: ParamStore, destination) -> None:
 
 
 def load_weights(source) -> ParamStore:
-    """Read a CMTW file back into a ParamStore (values upcast to float64)."""
+    """Read a CMTW file back into a ParamStore (values upcast to float64);
+    its ``config`` is the file's model config, None for version 1."""
     if hasattr(source, "read"):
         raw = source.read()
     else:
@@ -482,10 +494,18 @@ def load_weights(source) -> ParamStore:
     if bytes(take(4, "magic")) != WEIGHT_MAGIC:
         raise WeightFormatError("not a CMTW weight file (bad magic)")
     version, count = struct.unpack("<II", take(8, "header"))
-    if version != WEIGHT_VERSION:
+    if version not in (1, 2):
         raise WeightVersionError(f"unsupported weight file version {version}")
 
     store = ParamStore()
+    if version == 2:
+        (config_len,) = struct.unpack("<I", take(4, "config length"))
+        text = bytes(take(config_len, "model config"))
+        try:
+            fields = kvtext.from_text(text.decode("utf-8"))
+            store.config = ModelConfig(**kvtext.parse(fields, _MODEL_CONFIG_FIELDS))
+        except ValueError as exc:   # TextFormatError and UnicodeDecodeError too
+            raise WeightFormatError(f"bad model config: {exc}") from exc
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         if name_len == 0:
@@ -536,34 +556,3 @@ def assign_weights(model: ModelGraph, store: ParamStore) -> None:
     copy_params(model.params, store, model.params.names(),
                 "weight file is missing parameter", "file")
 
-
-def irrcnn_config_from_store(store: ParamStore, input_shape: tuple[int, int, int],
-                             recurrence_steps: int = 2) -> ModelConfig:
-    """Recover a buildable classifier config from saved tensor shapes."""
-    widths = []
-    i = 1
-    while f"unit{i}.br1.fwd.weight" in store:
-        out = sum(store[f"unit{i}.br{k}.fwd.weight"].shape[0]
-                  for k in (1, 3) if f"unit{i}.br{k}.fwd.weight" in store)
-        widths.append(out)
-        i += 1
-    if not widths or "fc.weight" not in store:
-        raise WeightFormatError("store does not contain an irrcnn parameter set")
-    num_classes = store["fc.weight"].shape[1]
-    return ModelConfig("irrcnn", input_shape, width_scale=1.0,
-                       num_classes=num_classes, recurrence_steps=recurrence_steps,
-                       irru_widths=tuple(widths))
-
-
-def nabla3_config_from_store(store: ParamStore,
-                             input_shape: tuple[int, int, int]) -> ModelConfig:
-    """Recover a buildable segmenter config from saved tensor shapes."""
-    widths = []
-    i = 1
-    while f"enc{i}.weight" in store:
-        widths.append(store[f"enc{i}.weight"].shape[0])
-        i += 1
-    if len(widths) != len(NABLA_ENCODER_WIDTHS):
-        raise WeightFormatError("store does not contain a nabla3 parameter set")
-    return ModelConfig("nabla3", input_shape, width_scale=1.0,
-                       encoder_widths=tuple(widths))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kvtext
-from .models import ModelConfig, ParamStore, copy_params
+from .models import ModelConfig, ParamStore, copy_params, model_config_fields
 from .rng import DetRng, derive_seed
 from .tensor import ShapeError, Tape, Tensor, apply_op, he_init
 
@@ -580,10 +580,7 @@ def history_from_text(text: str) -> list[EpochRecord]:
 def preset_to_text(preset: Preset) -> str:
     m, t = preset.model, preset.train
     return kvtext.to_text({
-        "preset": preset.name, "architecture": m.architecture,
-        "input_shape": "x".join(str(n) for n in m.input_shape),
-        "width_scale": f"{m.width_scale:.10g}", "num_classes": _optional(m.num_classes, "d"),
-        "recurrence_steps": str(m.recurrence_steps), "base_lr": f"{t.base_lr:.10g}",
+        "preset": preset.name, **model_config_fields(m), "base_lr": f"{t.base_lr:.10g}",
         "batch_size": str(t.batch_size), "epochs": str(t.epochs),
         "lr_decay_every": str(t.lr_decay_every),
         "lr_decay_factor": f"{t.lr_decay_factor:.10g}", "loss": t.loss, "seed": str(t.seed)})

@@ -13,8 +13,7 @@ import pytest
 from chestkit.metrics import evaluate_classifier, evaluate_segmenter, roc_auc
 from chestkit.models import (
     ModelConfig,
-    build_irrcnn,
-    build_nabla3,
+    build_model,
     load_weights,
     save_weights,
 )
@@ -178,7 +177,7 @@ def test_acceptance_gradient_correctness():
     _probe_model_gradients(TwoUnitModel(), cls_loss, n_probes=20, seed=25)
 
     # end-to-end: eighth-width segmenter on 32x32 through the Dice loss
-    seg = build_nabla3(DESK_SEG, seed=26)
+    seg = build_model(DESK_SEG, seed=26)
     x_seg = Tensor(DetRng(27).random(1 * 1 * 32 * 32).reshape(1, 1, 32, 32))
     target = Tensor((DetRng(28).random(32 * 32).reshape(1, 1, 32, 32) > 0.6)
                     .astype(float))
@@ -235,7 +234,7 @@ def test_acceptance_learning_smoke_classifier():
     train_ds, test_ds = split_dataset(corpus, 0.8, seed=42)
     preset = get_preset("xray-det-desk", seed=7)
     assert preset.train.epochs <= 15
-    model = build_irrcnn(preset.model, seed=7)
+    model = build_model(preset.model, seed=7)
     train(model, train_ds, preset.train)
     report = evaluate_classifier(model, test_ds)
     elapsed = time.monotonic() - start
@@ -251,7 +250,7 @@ def test_acceptance_learning_smoke_segmenter():
     train_ds, test_ds = split_dataset(corpus, 0.8, seed=43)
     preset = get_preset("seg-desk", seed=9)
     assert preset.train.epochs <= 20
-    model = build_nabla3(preset.model, seed=9)
+    model = build_model(preset.model, seed=9)
     train(model, train_ds, preset.train)
     report = evaluate_segmenter(model, test_ds)
     elapsed = time.monotonic() - start
@@ -267,7 +266,7 @@ def test_acceptance_learning_smoke_segmenter():
 
 def test_acceptance_transfer_benefit():
     task_a = gen_classification_set(SynthSpec(count=400, size=32, seed=100))
-    donor = build_irrcnn(DESK_CLS, seed=50)
+    donor = build_model(DESK_CLS, seed=50)
     train(donor, task_a, TrainConfig(base_lr=1e-3, batch_size=32, epochs=10, seed=50))
 
     task_b = gen_classification_set(SynthSpec(count=80, size=32, seed=200,
@@ -292,10 +291,10 @@ def test_acceptance_transfer_benefit():
 
     tl_epochs, rnd_epochs = [], []
     for seed in (1, 2, 3):
-        tuned = build_irrcnn(DESK_CLS, seed=seed)
+        tuned = build_model(DESK_CLS, seed=seed)
         transfer_init(tuned, donor.params, reinit_head=True, seed=seed)
         tl_epochs.append(epochs_to_90(tuned, seed))
-        scratch = build_irrcnn(DESK_CLS, seed=seed)
+        scratch = build_model(DESK_CLS, seed=seed)
         rnd_epochs.append(epochs_to_90(scratch, seed))
 
     mean_tl = float(np.mean(tl_epochs))
@@ -328,7 +327,7 @@ def test_acceptance_pipeline_trained_segmenter(infection_eval_samples):
     train_samples = gen_infection_set(SynthSpec(count=100, size=64, seed=70))
     train_ds = LabeledDataset(images=[s.image for s in train_samples],
                               masks=[s.lung_mask for s in train_samples])
-    model = build_nabla3(ModelConfig("nabla3", (1, 64, 64), width_scale=0.125),
+    model = build_model(ModelConfig("nabla3", (1, 64, 64), width_scale=0.125),
                          seed=71)
     train(model, train_ds, TrainConfig(base_lr=3e-4, batch_size=8, epochs=15,
                                        loss="dice", seed=71))
@@ -350,7 +349,7 @@ def test_acceptance_determinism_and_persistence(tmp_path):
     corpus = gen_classification_set(SynthSpec(count=40, size=32, seed=55))
     blobs = []
     for run_idx in range(2):
-        model = build_irrcnn(DESK_CLS, seed=56)
+        model = build_model(DESK_CLS, seed=56)
         store, _ = train(model, corpus,
                          TrainConfig(base_lr=1e-3, batch_size=8, epochs=2, seed=56))
         path = tmp_path / f"run{run_idx}.cmtw"

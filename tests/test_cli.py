@@ -1,15 +1,19 @@
+import io
 import struct
 
 import numpy as np
 import pytest
 
+from chestkit import kvtext
 from chestkit.cli import run
 from chestkit.imaging import load_image, load_mask
-from chestkit.models import load_weights
+from chestkit.models import ModelConfig, build_model, load_weights, save_weights
 from chestkit.postproc import report_from_text
-from chestkit.metrics import metrics_from_text
+from chestkit.metrics import evaluate_classifier, metrics_from_text, metrics_to_text
+from chestkit.synthdata import load_classification_corpus
+from chestkit.training import get_preset
 
-from test_models import one_tensor_file
+from test_models import one_tensor_file, with_config_text
 
 
 def gen(tmp_path, kind="classification", count=16, size=32, seed=3, name="data"):
@@ -18,6 +22,32 @@ def gen(tmp_path, kind="classification", count=16, size=32, seed=3, name="data")
                 "--size", str(size), "--seed", str(seed), "--out", str(root)])
     assert code == 0
     return root
+
+
+def model_file(config) -> bytes:
+    """A CMTW v2 file of a freshly built model."""
+    buf = io.BytesIO()
+    save_weights(build_model(config).params, buf)
+    return buf.getvalue()
+
+
+def as_v1(blob: bytes) -> bytes:
+    """The CMTW v1 file with a v2 file's tensor records and no config."""
+    config_len = struct.unpack_from("<I", blob, 12)[0]
+    return blob[:4] + struct.pack("<I", 1) + blob[8:12] + blob[16 + config_len:]
+
+
+def with_config(blob: bytes, **changes) -> bytes:
+    """A v2 file's records behind its config text with fields changed
+    (a value of None drops the field)."""
+    config_len = struct.unpack_from("<I", blob, 12)[0]
+    fields = kvtext.from_text(blob[16:16 + config_len].decode("utf-8"))
+    fields.update(changes)
+    text = kvtext.to_text({k: v for k, v in fields.items() if v is not None})
+    return with_config_text(blob, text.encode("utf-8"))
+
+
+DESK_CLS_FILE = model_file(get_preset("xray-det-desk").model)
 
 
 def train_tiny(tmp_path, data, preset="xray-det-desk", epochs=1, name="run", seed=5):
@@ -150,6 +180,22 @@ def test_transfer_zero_epochs_keeps_donor_body(tmp_path):
             continue
         assert np.array_equal(donor[name].data, tuned[name].data), name
     assert not np.array_equal(donor["fc.weight"].data, tuned["fc.weight"].data)
+
+
+def test_v1_weights_are_refused_and_migrate_through_transfer(tmp_path, capsys):
+    data = gen(tmp_path)
+    old = tmp_path / "old.cmtw"
+    old.write_bytes(as_v1(DESK_CLS_FILE))
+    assert run(["eval", "--dataset", str(data), "--weights", str(old),
+                "--out", str(tmp_path / "e")]) == 4
+    err = capsys.readouterr().err
+    assert "version 1" in err
+    assert f"chestkit transfer --donor-weights {old} --preset <preset> --epochs 0 --keep-head" in err
+    new = tmp_path / "new"
+    assert run(["transfer", "--donor-weights", str(old), "--preset", "xray-det-desk",
+                "--epochs", "0", "--keep-head", "--dataset", str(data),
+                "--out", str(new)]) == 0
+    assert (new / "weights.cmtw").read_bytes() == DESK_CLS_FILE
 
 
 def test_transfer_diverged_run_exits_5(tmp_path):
@@ -292,7 +338,7 @@ def test_eval_classification_report_keys(tmp_path):
     data = gen(tmp_path, count=20)
     out = train_tiny(tmp_path, data, epochs=1)
     eval_out = tmp_path / "eval"
-    code = run(["eval", "--task", "classification", "--dataset", str(data),
+    code = run(["eval", "--dataset", str(data),
                 "--weights", str(out / "weights.cmtw"), "--out", str(eval_out)])
     assert code == 0
     report = metrics_from_text((eval_out / "metrics.txt").read_text())
@@ -303,34 +349,59 @@ def test_eval_classification_report_keys(tmp_path):
 def test_eval_segmentation_report_keys(tmp_path, seg_weights):
     weights, data_root = seg_weights
     eval_out = tmp_path / "eval"
-    code = run(["eval", "--task", "segmentation", "--dataset", str(data_root),
+    code = run(["eval", "--dataset", str(data_root),
                 "--weights", str(weights), "--out", str(eval_out)])
     assert code == 0
     report = metrics_from_text((eval_out / "metrics.txt").read_text())
     assert set(report.present()) == {"accuracy", "f1", "iou", "dice"}
 
 
+def test_eval_scores_the_saved_recurrence_depth(tmp_path):
+    # t = 1, not the default 2: eval must build the network the file names
+    config = ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2,
+                         recurrence_steps=1)
+    model = build_model(config, seed=7)
+    for _, param in model.params.items():
+        param.data = param.data.astype(np.float32).astype(np.float64)
+    weights = tmp_path / "t1.cmtw"
+    save_weights(model.params, weights)
+    data = gen(tmp_path, count=40)
+    assert run(["eval", "--dataset", str(data), "--weights", str(weights),
+                "--part", "train", "--out", str(tmp_path / "e")]) == 0
+    # rebuilt with t = 2, this model scores auc 0.9648 here instead of 0.8789
+    expected = evaluate_classifier(model, load_classification_corpus(data, "train"))
+    assert (tmp_path / "e" / "metrics.txt").read_text() == metrics_to_text(expected)
+
+
 def test_eval_missing_labels_is_data_error(tmp_path):
+    # segmenter weights pick a segmentation corpus; this one has no masks
     data = gen(tmp_path)
-    out = train_tiny(tmp_path, data)
-    code = run(["eval", "--task", "segmentation", "--dataset", str(data),
-                "--weights", str(out / "weights.cmtw"),
+    weights = tmp_path / "seg.cmtw"
+    weights.write_bytes(model_file(get_preset("seg-desk").model))
+    code = run(["eval", "--dataset", str(data), "--weights", str(weights),
                 "--out", str(tmp_path / "e")])
     assert code == 3
 
 
-@pytest.mark.parametrize("payload", [
-    one_tensor_file(b"w", (2 ** 31, 2 ** 31, 4), b""),
-    one_tensor_file(b"\xff", (1,), struct.pack("<f", 1.0)),
-    one_tensor_file(b"w", (0,), b""),
-    one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, float("nan"))),
-    b"CMTW" + struct.pack("<II", 1, 2)
-    + 2 * (struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)),
-], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan", "duplicate-name"])
-def test_eval_malformed_weights_is_model_error(tmp_path, payload):
+@pytest.mark.parametrize("command, payload", [
+    ("eval", one_tensor_file(b"w", (2 ** 31, 2 ** 31, 4), b"")),
+    ("eval", one_tensor_file(b"\xff", (1,), struct.pack("<f", 1.0))),
+    ("eval", one_tensor_file(b"w", (0,), b"")),
+    ("eval", one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, float("nan")))),
+    ("eval", b"CMTW" + struct.pack("<II", 1, 2)
+     + 2 * (struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0))),
+    ("eval", with_config(DESK_CLS_FILE, architecture="resnet")),
+    ("eval", with_config(DESK_CLS_FILE, input_shape="1x30x30")),
+    ("eval", with_config(DESK_CLS_FILE, recurrence_steps=None)),
+    ("pipeline", DESK_CLS_FILE),
+    ("eval", as_v1(DESK_CLS_FILE)),
+], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan", "duplicate-name",
+        "unknown-architecture", "indivisible-input", "missing-recurrence-steps",
+        "pipeline-on-classifier", "v1-file"])
+def test_eval_malformed_weights_is_model_error(tmp_path, command, payload):
     data = gen(tmp_path, kind="segmentation", count=4, size=32)
     bad = tmp_path / "bad.cmtw"
     bad.write_bytes(payload)
-    code = run(["eval", "--task", "segmentation", "--dataset", str(data),
+    code = run([command, "--dataset", str(data),
                 "--weights", str(bad), "--out", str(tmp_path / "e")])
     assert code == 4

@@ -15,10 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chestkit.imaging import PnmError, load_image, load_mask, save_image
-from chestkit.models import ParamStore, WeightFileError, load_weights, save_weights
+from chestkit.models import (
+    ModelConfig,
+    ParamStore,
+    WeightFileError,
+    load_weights,
+    model_config_fields,
+    save_weights,
+)
 from chestkit.tensor import Tensor
 
-from test_models import one_tensor_file
+from test_models import one_tensor_file, with_config_text
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -26,8 +33,12 @@ FUZZ = settings(max_examples=150, deadline=None)
 U32_EDGES = st.sampled_from([0, 1, 2, 3, 2 ** 16, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1])
 
 
+CONFIG = ModelConfig("irrcnn", (1, 32, 32), width_scale=0.125, num_classes=2)
+
+
 def _weights_blob() -> bytes:
-    store = ParamStore()
+    """A CMTW v2 file of three tensors under ``CONFIG``."""
+    store = ParamStore(CONFIG)
     store.add("enc1.weight", Tensor(np.arange(12.0).reshape(2, 1, 2, 3) / 7))
     store.add("enc1.bias", Tensor([0.5, -0.25]))
     store.add("head", Tensor([[1.0]]))
@@ -38,9 +49,13 @@ def _weights_blob() -> bytes:
 
 def _u32_fields(blob: bytes) -> tuple[int, ...]:
     """Byte offsets of every u32 field of a well-formed CMTW file: version,
-    count, then per tensor its name length, rank and dims."""
+    count, the config length of a version 2 file, then per tensor its name
+    length, rank and dims."""
     offsets = [4, 8]
     pos = 12
+    if struct.unpack_from("<I", blob, 4)[0] == 2:
+        offsets.append(pos)
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
     for _ in range(struct.unpack_from("<I", blob, 8)[0]):
         offsets.append(pos)
         pos += 4 + struct.unpack_from("<I", blob, pos)[0]
@@ -55,6 +70,7 @@ def _u32_fields(blob: bytes) -> tuple[int, ...]:
 
 WEIGHTS = _weights_blob()
 WEIGHT_FIELDS = _u32_fields(WEIGHTS)
+CONFIG_END = 16 + struct.unpack_from("<I", WEIGHTS, 12)[0]
 GRAY = save_image(np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
 RGB = save_image(np.arange(36, dtype=np.uint8).reshape(3, 4, 3) * 7)
 
@@ -66,6 +82,7 @@ def _check_weights(blob: bytes) -> None:
         return
     for _, t in store.items():
         assert t.data.dtype == np.float64 and np.isfinite(t.data).all()
+    assert store.config is None or isinstance(store.config, ModelConfig)
 
 
 def _check_pnm(blob: bytes) -> None:
@@ -100,6 +117,7 @@ FLIPS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
 def test_weights_blob_round_trips():
     store = load_weights(io.BytesIO(WEIGHTS))
     assert store.names() == ["enc1.weight", "enc1.bias", "head"]
+    assert store.config == CONFIG
 
 
 @FUZZ
@@ -119,6 +137,39 @@ def test_flipped_weight_bytes_are_typed(flips):
 def test_overwritten_weight_field_is_typed(offset, value):
     raw = bytearray(WEIGHTS)
     struct.pack_into("<I", raw, offset, value)
+    _check_weights(bytes(raw))
+
+
+CONFIG_VALUE = st.one_of(
+    st.sampled_from(["irrcnn", "nabla3", "-", "", "0", "1", "-1", "2", "1x32x32", "1x30x30",
+                     "0x32x32", "1x32", "1x32x32x1", "x", "nan", "inf", "-inf", "1e400",
+                     "9" * 5000, "1_0", "0.125", "true"]),
+    st.text(max_size=8))
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.sampled_from([*model_config_fields(CONFIG), "preset", ""]),
+                          st.one_of(st.none(), CONFIG_VALUE)), min_size=1, max_size=4),
+       st.sampled_from(["\n", " ", "\t", "=", ""]))
+def test_mutated_config_text_is_typed(edits, sep):
+    # fields dropped, added or given bad values; separators that split or
+    # merge tokens; text that is not UTF-8 once encoded
+    fields = model_config_fields(CONFIG)
+    for key, value in edits:
+        if value is None:
+            fields.pop(key, None)
+        else:
+            fields[key] = value
+    text = sep.join(f"{k}={v}" for k, v in fields.items())
+    _check_weights(with_config_text(WEIGHTS, text.encode("utf-8", "surrogatepass")))
+
+
+@FUZZ
+@given(FLIPS)
+def test_flipped_config_bytes_are_typed(flips):
+    raw = bytearray(WEIGHTS)
+    for pos, bits in flips:
+        raw[16 + pos % (CONFIG_END - 16)] ^= bits
     _check_weights(bytes(raw))
 
 

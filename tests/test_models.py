@@ -16,12 +16,8 @@ from chestkit.models import (
     WeightTruncatedError,
     WeightVersionError,
     assign_weights,
-    build_irrcnn,
-    build_irru,
-    build_nabla3,
-    irrcnn_config_from_store,
+    build_model,
     load_weights,
-    nabla3_config_from_store,
     param_count,
     save_weights,
 )
@@ -104,20 +100,20 @@ def test_recurrent_conv_matches_scalar_unroll():
 
 
 def test_irru_preserves_shape_when_channels_match():
-    unit = build_irru(IRRUConfig(8, 8), seed=3)
+    unit = IRRU(IRRUConfig(8, 8), seed=3)
     x = rand_image((8, 16, 16), seed=4)
     assert unit.forward(x).shape == (8, 16, 16)
 
 
 @pytest.mark.parametrize("c_in,c_out,hw", [(1, 6, 8), (4, 4, 12), (3, 10, 16)])
 def test_irru_preserves_spatial_dims(c_in, c_out, hw):
-    unit = build_irru(IRRUConfig(c_in, c_out), seed=8)
+    unit = IRRU(IRRUConfig(c_in, c_out), seed=8)
     x = rand_image((c_in, hw, hw), seed=9)
     assert unit.forward(x).shape == (c_out, hw, hw)
 
 
 def test_irru_dead_branches_leave_residual_projection():
-    unit = build_irru(IRRUConfig(2, 6), seed=10)
+    unit = IRRU(IRRUConfig(2, 6), seed=10)
     for br in unit.branches:
         br.fwd_w.data[:] = 0.0
         br.fwd_b.data[:] = 0.0
@@ -129,7 +125,7 @@ def test_irru_dead_branches_leave_residual_projection():
 
 
 def test_irru_channel_split_remainder_to_three_by_three():
-    unit = build_irru(IRRUConfig(2, 7), seed=12)
+    unit = IRRU(IRRUConfig(2, 7), seed=12)
     by_kernel = {br.fwd_w.shape[2]: br.fwd_w.shape[0] for br in unit.branches}
     assert by_kernel == {1: 3, 3: 4}
 
@@ -140,7 +136,7 @@ def test_irru_infeasible_split_rejected():
 
 
 def test_irru_gradient_reaches_every_branch_kernel():
-    unit = build_irru(IRRUConfig(2, 4), seed=13)
+    unit = IRRU(IRRUConfig(2, 4), seed=13)
     x = rand_image((2, 8, 8), seed=14)
     with Tape() as tape:
         loss = sum_all(unit.forward(x))
@@ -157,7 +153,7 @@ def test_irru_gradient_reaches_every_branch_kernel():
 
 def test_irrcnn_at_128_input_gives_probability_pair():
     cfg = ModelConfig("irrcnn", (1, 128, 128), width_scale=0.125, num_classes=2)
-    model = build_irrcnn(cfg, seed=15)
+    model = build_model(cfg, seed=15)
     out = model.forward(rand_image((1, 128, 128), seed=16))
     assert out.shape == (2,)
     assert abs(out.data.sum() - 1.0) < 1e-9
@@ -165,25 +161,25 @@ def test_irrcnn_at_128_input_gives_probability_pair():
 
 
 def test_irrcnn_batched_rows_are_probabilities():
-    model = build_irrcnn(DESK_CLS, seed=17)
+    model = build_model(DESK_CLS, seed=17)
     out = model.forward(rand_image((4, 1, 32, 32), seed=18))
     assert out.shape == (4, 2)
     assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_irrcnn_desk_config_builds_and_runs():
-    model = build_irrcnn(DESK_CLS, seed=19)
+    model = build_model(DESK_CLS, seed=19)
     out = model.forward(rand_image((1, 32, 32), seed=20))
     assert out.shape == (2,)
 
 
 def test_irrcnn_rejects_indivisible_input():
     with pytest.raises(ValueError):
-        build_irrcnn(ModelConfig("irrcnn", (1, 48, 48), num_classes=2))
+        build_model(ModelConfig("irrcnn", (1, 48, 48), num_classes=2))
 
 
 def test_irrcnn_batch_of_one_matches_row_of_batch_bitwise():
-    model = build_irrcnn(DESK_CLS, seed=21)
+    model = build_model(DESK_CLS, seed=21)
     batch = rand_image((4, 1, 32, 32), seed=22)
     full = model.forward(batch).data
     for i in range(4):
@@ -192,19 +188,19 @@ def test_irrcnn_batch_of_one_matches_row_of_batch_bitwise():
 
 
 def test_irrcnn_eval_mode_allocates_no_tape():
-    model = build_irrcnn(DESK_CLS, seed=23)
+    model = build_model(DESK_CLS, seed=23)
     out = model.forward(rand_image((1, 32, 32), seed=24))
     assert out._tape is None
 
 
 def test_irrcnn_forward_is_pure():
-    model = build_irrcnn(DESK_CLS, seed=25)
+    model = build_model(DESK_CLS, seed=25)
     x = rand_image((1, 32, 32), seed=26)
     assert np.array_equal(model.forward(x).data, model.forward(x).data)
 
 
 def test_irrcnn_rejects_wrong_batch_shape():
-    model = build_irrcnn(DESK_CLS, seed=27)
+    model = build_model(DESK_CLS, seed=27)
     with pytest.raises(ValueError):
         model.forward(rand_image((1, 64, 64), seed=28))
 
@@ -215,7 +211,7 @@ def test_irrcnn_rejects_wrong_batch_shape():
 
 def test_nabla3_xray_input_size():
     cfg = ModelConfig("nabla3", (1, 192, 192), width_scale=0.125)
-    model = build_nabla3(cfg, seed=29)
+    model = build_model(cfg, seed=29)
     out = model.forward(rand_image((1, 192, 192), seed=30))
     assert out.shape == (1, 192, 192)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
@@ -223,20 +219,20 @@ def test_nabla3_xray_input_size():
 
 def test_nabla3_ct_input_size():
     cfg = ModelConfig("nabla3", (1, 256, 256), width_scale=0.125)
-    model = build_nabla3(cfg, seed=31)
+    model = build_model(cfg, seed=31)
     out = model.forward(rand_image((1, 256, 256), seed=32))
     assert out.shape == (1, 256, 256)
 
 
 def test_nabla3_desk_config():
-    model = build_nabla3(DESK_SEG, seed=33)
+    model = build_model(DESK_SEG, seed=33)
     out = model.forward(rand_image((1, 32, 32), seed=34))
     assert out.shape == (1, 32, 32)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
 
 def test_nabla3_seg_desk_batch_of_one_matches_row_of_batch_bitwise():
-    model = build_nabla3(get_preset("seg-desk").model, seed=36)
+    model = build_model(get_preset("seg-desk").model, seed=36)
     batch = rand_image((4, 1, 64, 64), seed=37)
     full = model.forward(batch).data
     for i in range(4):
@@ -245,11 +241,11 @@ def test_nabla3_seg_desk_batch_of_one_matches_row_of_batch_bitwise():
 
 def test_nabla3_rejects_indivisible_input():
     with pytest.raises(ValueError):
-        build_nabla3(ModelConfig("nabla3", (1, 100, 100)))
+        build_model(ModelConfig("nabla3", (1, 100, 100)))
 
 
 def test_nabla3_decoder_layout():
-    model = build_nabla3(DESK_SEG, seed=35)
+    model = build_model(DESK_SEG, seed=35)
     starts = [s for s, _ in model.decoders]
     depths = [len(steps) for _, steps in model.decoders]
     assert starts == [6, 5, 4]
@@ -272,7 +268,7 @@ def test_param_count_empty_store():
 
 
 def test_param_count_matches_brute_force_traversal():
-    model = build_nabla3(DESK_SEG, seed=36)
+    model = build_model(DESK_SEG, seed=36)
     brute = sum(int(np.prod(t.shape)) for _, t in model.params.items())
     assert param_count(model) == brute
 
@@ -281,8 +277,8 @@ def test_full_scale_reference_counts_reported():
     # informational: the reference designs are quoted at ~34M (classifier)
     # and 18.98M (segmenter); the wiring behind those totals is not public,
     # so we only report what this implementation yields
-    cls = build_irrcnn(ModelConfig("irrcnn", (1, 128, 128), num_classes=2), seed=0)
-    seg = build_nabla3(ModelConfig("nabla3", (1, 192, 192)), seed=0)
+    cls = build_model(ModelConfig("irrcnn", (1, 128, 128), num_classes=2), seed=0)
+    seg = build_model(ModelConfig("nabla3", (1, 192, 192)), seed=0)
     n_cls, n_seg = param_count(cls), param_count(seg)
     print(f"full-scale parameter counts: classifier {n_cls:,}, segmenter {n_seg:,}")
     assert n_cls > 1_000_000
@@ -368,6 +364,12 @@ def one_tensor_file(name: bytes, dims: tuple[int, ...], values: bytes) -> bytes:
             + values)
 
 
+def with_config_text(blob: bytes, text: bytes) -> bytes:
+    """A CMTW v2 file's tensor records behind another config text."""
+    config_len = struct.unpack_from("<I", blob, 12)[0]
+    return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + config_len:]
+
+
 def test_weight_file_overflowing_dims_are_truncation():
     # 2**31 * 2**31 * 4 wraps to 0 in int64
     payload = one_tensor_file(b"w", (2 ** 31, 2 ** 31, 4), b"")
@@ -411,16 +413,16 @@ def test_store_rejects_duplicate_and_empty_names():
 
 
 def test_assign_weights_roundtrip_preserves_forward(tmp_path):
-    model = build_irrcnn(DESK_CLS, seed=43)
+    model = build_model(DESK_CLS, seed=43)
     x = rand_image((1, 32, 32), seed=44)
     before = model.forward(x).data
     path = tmp_path / "m.cmtw"
     save_weights(model.params, path)
-    clone = build_irrcnn(DESK_CLS, seed=999)
+    clone = build_model(DESK_CLS, seed=999)
     assign_weights(clone, load_weights(path))
     after = clone.forward(x).data
     # float32 persistence: equal after one float32 round of the donor
-    donor32 = build_irrcnn(DESK_CLS, seed=43)
+    donor32 = build_model(DESK_CLS, seed=43)
     for name, t in donor32.params.items():
         t.data = t.data.astype(np.float32).astype(np.float64)
     assert np.array_equal(after, donor32.forward(x).data)
@@ -428,7 +430,7 @@ def test_assign_weights_roundtrip_preserves_forward(tmp_path):
 
 
 def test_assign_weights_reports_shape_mismatch():
-    model = build_irrcnn(DESK_CLS, seed=45)
+    model = build_model(DESK_CLS, seed=45)
     store = ParamStore()
     for name, t in model.params.items():
         store.add(name, Tensor(t.data.copy()))
@@ -438,24 +440,21 @@ def test_assign_weights_reports_shape_mismatch():
 
 
 def test_assign_weights_reports_missing_name():
-    model = build_irrcnn(DESK_CLS, seed=46)
+    model = build_model(DESK_CLS, seed=46)
     store = ParamStore()
     with pytest.raises(KeyError):
         assign_weights(model, store)
 
 
-def test_config_inference_roundtrip(tmp_path):
-    for cfg, build in ((DESK_CLS, build_irrcnn), (DESK_SEG, build_nabla3)):
-        model = build(cfg, seed=47)
+def test_weight_file_carries_model_config(tmp_path):
+    for cfg in (DESK_CLS, DESK_SEG):
+        model = build_model(cfg, seed=47)
         path = tmp_path / f"{cfg.architecture}.cmtw"
         save_weights(model.params, path)
+        assert path.read_bytes()[4:8] == struct.pack("<I", 2)
         store = load_weights(path)
-        if cfg.architecture == "irrcnn":
-            inferred = irrcnn_config_from_store(store, cfg.input_shape)
-        else:
-            inferred = nabla3_config_from_store(store, cfg.input_shape)
-        rebuilt = build(inferred, seed=0)
+        assert store.config == model.config
+        rebuilt = build_model(store.config, seed=0)
         assign_weights(rebuilt, store)
         x = rand_image(cfg.input_shape, seed=48)
-        out = rebuilt.forward(x)
-        assert out.shape == model.forward(x).shape
+        assert rebuilt.forward(x).shape == model.forward(x).shape

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chestkit.models import ModelConfig, ParamStore, build_irrcnn, build_nabla3, save_weights
+from chestkit.models import ModelConfig, ParamStore, build_model, save_weights
 from chestkit.rng import DetRng
 from chestkit.tensor import Tape, Tensor, apply_op
 from chestkit.training import (
@@ -345,16 +345,16 @@ def test_split_dataset_rejects_empty_side():
 
 
 def test_transfer_identical_architecture_copies_forward_behavior():
-    donor = build_irrcnn(TINY_CLS, seed=11)
-    target = build_irrcnn(TINY_CLS, seed=12)
+    donor = build_model(TINY_CLS, seed=11)
+    target = build_model(TINY_CLS, seed=12)
     transfer_init(target, donor.params, reinit_head=False)
     x = Tensor(DetRng(13).normal(32 * 32).reshape(1, 32, 32))
     assert np.array_equal(target.forward(x).data, donor.forward(x).data)
 
 
 def test_transfer_reinit_head_changes_only_head():
-    donor = build_irrcnn(TINY_CLS, seed=14)
-    target = build_irrcnn(TINY_CLS, seed=15)
+    donor = build_model(TINY_CLS, seed=14)
+    target = build_model(TINY_CLS, seed=15)
     transfer_init(target, donor.params, reinit_head=True, seed=16)
     for name, param in target.params.items():
         if name in target.head_names:
@@ -365,17 +365,17 @@ def test_transfer_reinit_head_changes_only_head():
 
 
 def test_transfer_missing_tensor_names_it():
-    donor = build_irrcnn(TINY_CLS, seed=17)
-    target = build_irrcnn(TINY_CLS, seed=18)
+    donor = build_model(TINY_CLS, seed=17)
+    target = build_model(TINY_CLS, seed=18)
     del donor.params._params["unit3.br1.fwd.weight"]
     with pytest.raises(KeyError, match="unit3.br1.fwd.weight"):
         transfer_init(target, donor.params)
 
 
 def test_transfer_shape_mismatch_names_tensor():
-    donor = build_irrcnn(ModelConfig("irrcnn", (1, 32, 32), width_scale=0.0625,
+    donor = build_model(ModelConfig("irrcnn", (1, 32, 32), width_scale=0.0625,
                                      num_classes=2), seed=19)
-    target = build_irrcnn(TINY_CLS, seed=20)
+    target = build_model(TINY_CLS, seed=20)
     with pytest.raises(ValueError, match="unit1"):
         transfer_init(target, donor.params)
 
@@ -390,7 +390,7 @@ def test_train_loss_decreases_on_separable_toy():
                 np.full((32, 32), 200, dtype=np.uint8)],
         labels=[0, 1],
     )
-    model = build_irrcnn(TINY_CLS, seed=21)
+    model = build_model(TINY_CLS, seed=21)
     cfg = TrainConfig(base_lr=1e-3, batch_size=2, epochs=10, seed=1)
     _, history = train(model, ds, cfg)
     losses = [rec.loss for rec in history]
@@ -400,7 +400,7 @@ def test_train_loss_decreases_on_separable_toy():
 
 def test_train_zero_epochs_leaves_parameters():
     ds = two_class_dataset(4, seed=22)
-    model = build_irrcnn(TINY_CLS, seed=23)
+    model = build_model(TINY_CLS, seed=23)
     before = {name: t.data.copy() for name, t in model.params.items()}
     _, history = train(model, ds, TrainConfig(base_lr=1e-3, batch_size=2, epochs=0))
     assert history == []
@@ -415,7 +415,7 @@ def test_train_same_seed_reproduces_history_and_weights(tmp_path):
     histories = []
     for _ in range(2):
         ds = two_class_dataset(8, seed=24)
-        model = build_irrcnn(TINY_CLS, seed=25)
+        model = build_model(TINY_CLS, seed=25)
         store, history = train(model, ds,
                                TrainConfig(base_lr=1e-3, batch_size=4, epochs=3, seed=7))
         buf = io.BytesIO()
@@ -437,7 +437,7 @@ def test_train_dice_on_tiny_segmentation_set():
         images.append(img)
         masks.append(mask)
     ds = LabeledDataset(images=images, masks=masks)
-    model = build_nabla3(ModelConfig("nabla3", (1, 32, 32), width_scale=0.125), seed=27)
+    model = build_model(ModelConfig("nabla3", (1, 32, 32), width_scale=0.125), seed=27)
     cfg = TrainConfig(base_lr=1e-3, batch_size=2, epochs=4, loss="dice", seed=2)
     _, history = train(model, ds, cfg)
     assert history[-1].loss < history[0].loss
@@ -448,7 +448,7 @@ def test_train_dice_on_tiny_segmentation_set():
 
 def test_train_rejects_mismatched_loss():
     ds = two_class_dataset(4, seed=28)
-    model = build_irrcnn(TINY_CLS, seed=29)
+    model = build_model(TINY_CLS, seed=29)
     with pytest.raises(ValueError):
         train(model, ds, TrainConfig(base_lr=1e-3, batch_size=2, epochs=1, loss="dice"))
 
@@ -461,14 +461,14 @@ def test_train_stuck_at_probability_clamp_raises():
     # lr 1e3 saturates the softmax after one step: each true-class
     # probability is then 0 or 1 and the gradient is exactly zero
     ds = two_class_dataset(8, seed=30)
-    model = build_irrcnn(TINY_CLS, seed=31)
+    model = build_model(TINY_CLS, seed=31)
     with pytest.raises(TrainingDivergedError, match="at the clamp"):
         train(model, ds, TrainConfig(base_lr=1e3, batch_size=4, epochs=3, seed=1))
 
 
 def test_train_non_finite_loss_raises_before_updating():
     ds = two_class_dataset(4, seed=32)
-    model = build_irrcnn(TINY_CLS, seed=33)
+    model = build_model(TINY_CLS, seed=33)
     model.params["fc.bias"].data[:] = np.nan
     before = {name: t.data.copy() for name, t in model.params.items()}
     with pytest.raises(TrainingDivergedError, match="loss is nan"):
