@@ -8,8 +8,8 @@ import numpy as np
 from chestkit import Tape, Tensor, he_init
 from chestkit.tensor import conv2d, max_pool2d, relu, softmax, sum_all
 
-# a tiny image and a He-initialized kernel
-image = Tensor(np.linspace(0.0, 1.0, 36).reshape(1, 6, 6), requires_grad=True)
+# every op takes a batch: here one 6x6 single-channel image, [B, C, H, W]
+image = Tensor(np.linspace(0.0, 1.0, 36).reshape(1, 1, 6, 6), requires_grad=True)
 kernel = he_init((2, 1, 3, 3), fan_in=9, seed=1, requires_grad=True)
 bias = Tensor(np.zeros(2), requires_grad=True)
 
@@ -39,6 +39,6 @@ for i in range(flat.size):
 worst = np.max(np.abs(fd - grads[kernel].reshape(-1)))
 print(f"max |finite difference - autodiff| over kernel entries: {worst:.2e}")
 
-# softmax turns any score vector into a probability vector
-scores = Tensor([1.0, 3.0, 0.2])
+# softmax turns each row of scores, [B, K], into a probability vector
+scores = Tensor([[1.0, 3.0, 0.2]])
 print(f"softmax({scores.data}) = {np.round(softmax(scores).data, 4)}")

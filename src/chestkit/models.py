@@ -94,12 +94,20 @@ class ModelConfig:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ValueError(f"input_shape must be [C,H,W], got {self.input_shape}")
+        # every corpus and training.to_batch are grayscale
+        if self.input_shape[0] != 1:
+            raise ValueError(f"input_shape must have 1 channel, got {self.input_shape[0]}")
         div = 2 ** POOL_STAGES
         if self.input_shape[1] % div or self.input_shape[2] % div:
             raise ValueError(f"input spatial dims must be divisible by {div}, "
                              f"got {self.input_shape[1]}x{self.input_shape[2]}")
         if not 0 < self.width_scale < math.inf:
             raise ValueError("width_scale must be positive and finite")
+        # model_config_fields writes it with .10g, and a weight file must
+        # load back to an equal config
+        if float(f"{self.width_scale:.10g}") != self.width_scale:
+            raise ValueError(f"width_scale {self.width_scale!r} has more than "
+                             "10 significant digits")
         if self.architecture == "irrcnn" and (self.num_classes or 0) < 2:
             raise ValueError("irrcnn needs num_classes >= 2")
 
@@ -384,15 +392,11 @@ ModelGraph = Irrcnn | Nabla3
 
 
 def _check_batch_shape(batch: Tensor, input_shape: tuple[int, int, int], arch: str):
-    if batch.ndim == 3:
-        got = batch.shape
-    elif batch.ndim == 4:
-        got = batch.shape[1:]
-    else:
-        raise ShapeError(f"{arch} expects [C,H,W] or [B,C,H,W], got {batch.shape}")
-    if tuple(got) != tuple(input_shape):
+    if batch.ndim != 4:
+        raise ShapeError(f"{arch} expects [B,C,H,W], got {batch.shape}")
+    if batch.shape[1:] != tuple(input_shape):
         raise ShapeError(
-            f"{arch} built for input {tuple(input_shape)}, got {tuple(got)}")
+            f"{arch} built for input {tuple(input_shape)}, got {batch.shape[1:]}")
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> ModelGraph:
@@ -523,13 +527,13 @@ def load_weights(source) -> ParamStore:
         # Python ints: a product of u32 dims cannot wrap, so a huge shape
         # fails the length check in take() instead of a reshape
         n_values = math.prod(dims)
-        values = np.frombuffer(take(4 * n_values, f"values of {name!r}"),
-                               dtype="<f4").astype(np.float64).reshape(dims)
+        values = np.frombuffer(take(4 * n_values, f"values of {name!r}"), dtype="<f4")
+        # checked before the cast: casting a signalling NaN warns
         if not np.isfinite(values).all():
             raise WeightFormatError(f"parameter {name!r} holds NaN or Inf values")
         if name in store:
             raise DuplicateWeightNameError(f"duplicate parameter name {name!r} in file")
-        store.add(name, Tensor(values))
+        store.add(name, Tensor(values.reshape(dims)))
     return store
 
 

@@ -54,13 +54,11 @@ def _check_se(se: np.ndarray) -> np.ndarray:
     return se
 
 
-def binarize(prob_map, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """True where the probability strictly exceeds the threshold."""
-    data = prob_map.data if isinstance(prob_map, Tensor) else np.asarray(prob_map)
-    if data.ndim == 3 and data.shape[0] == 1:
-        data = data[0]
+def binarize(prob_map: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """True where an [H,W] probability map strictly exceeds the threshold."""
+    data = np.asarray(prob_map)
     if data.ndim != 2:
-        raise ValueError(f"expected [H,W] or [1,H,W], got shape {data.shape}")
+        raise ValueError(f"expected [H,W], got shape {data.shape}")
     return data > threshold
 
 
@@ -347,11 +345,9 @@ class OracleSegmenter:
         self.input_shape = (1, h, w)
 
     def forward(self, batch: Tensor) -> Tensor:
-        if batch.ndim == 4:
-            # repeat the bool mask and cast once: one float64 allocation
-            return Tensor(np.repeat(self.mask[None, None], batch.shape[0], axis=0)
-                          .astype(np.float64))
-        return Tensor(self.mask.astype(np.float64)[None])
+        # repeat the bool mask and cast once: one float64 allocation
+        return Tensor(np.repeat(self.mask[None, None], batch.shape[0], axis=0)
+                      .astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -387,7 +383,7 @@ def run_pipeline(image: np.ndarray, seg_model, mode: str = "chest",
     h, w = _model_input_hw(seg_model)
     resized = resize(np.asarray(image), w, h)
     probs = seg_model.forward(to_batch([resized]))
-    mask = binarize(probs.data[0], threshold)
+    mask = binarize(probs.data[0, 0], threshold)
     refined = open_mask(close_mask(mask))
     regions = connected_components(refined, connectivity=8)
     region_mask = select_largest(regions, k, shape=(h, w))

@@ -15,8 +15,10 @@ forward intermediate that no closure saved (a conv's pre-activation, a
 relu output) is freed as soon as the forward drops it, and backward
 releases each node, closure and saved arrays included, once it has run.
 
-Ops are pure functions: they never mutate their inputs and identical
-inputs produce bit-identical outputs.  Batched forwards and input
+Ops take batches only: the spatial ops and ``concat_channels`` take
+[B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
+batch of one.  Ops are pure functions: they never mutate their inputs and
+identical inputs produce bit-identical outputs.  Forwards and input
 gradients compute each sample on its own: ``dense`` with a GEMV per
 sample, ``conv2d`` with GEMMs over blocks of several whole samples or of
 rows of one large sample.  So each sample's result is independent of the
@@ -246,9 +248,9 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Normalized exponentials over the last axis (1-D vector or 2-D batch)."""
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"softmax expects a vector or batch of vectors, got {x.shape}")
+    """Normalized exponentials over each row of a [B, K] batch."""
+    if x.ndim != 2:
+        raise ShapeError(f"softmax expects [B,K], got {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     out = ex / ex.sum(axis=-1, keepdims=True)
@@ -261,15 +263,13 @@ def softmax(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# spatial ops; tensors are [C,H,W] or batched [B,C,H,W]
+# spatial ops; tensors are batches [B,C,H,W]
 
 
-def _spatial(x: Tensor, op: str) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x.data[None], False
-    if x.ndim == 4:
-        return x.data, True
-    raise ShapeError(f"{op} expects [C,H,W] or [B,C,H,W], got {x.shape}")
+def _spatial(x: Tensor, op: str) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError(f"{op} expects [B,C,H,W], got {x.shape}")
+    return x.data
 
 
 # bytes of im2col columns that conv2d holds at once
@@ -336,7 +336,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
-    xd, batched = _spatial(x, "conv2d")
+    xd = _spatial(x, "conv2d")
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be 4-D, got {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
@@ -382,9 +382,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
                           kh, kw, h, w).reshape(b, c_in, h, w)
-        return (dx if batched else dx[0]), dw, db
+        return dx, dw, db
 
-    return _record(Tensor(out if batched else out[0]), (x, kernels, bias), backward)
+    return _record(Tensor(out), (x, kernels, bias), backward)
 
 
 def _quadrants(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -417,7 +417,7 @@ def max_pool2d(x: Tensor) -> Tensor:
     backward closure keeps only the winner's position, 0-3 in row-major
     order, as an ``int8`` map.
     """
-    xd, batched = _spatial(x, "max_pool2d")
+    xd = _spatial(x, "max_pool2d")
     b, c, h, w = xd.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d needs even spatial dims, got {h}x{w}")
@@ -429,26 +429,23 @@ def max_pool2d(x: Tensor) -> Tensor:
                       right_top.view(np.int8))
 
     def backward(g):
-        gb = g if batched else g[None]
         dx = np.empty((b, c, h, w))
         for k, quadrant in enumerate(_quadrants(dx)):
-            quadrant[...] = np.where(winner == k, gb, 0.0)
-        return ((dx if batched else dx[0]),)
+            quadrant[...] = np.where(winner == k, g, 0.0)
+        return (dx,)
 
-    return _record(Tensor(out if batched else out[0]), (x,), backward)
+    return _record(Tensor(out), (x,), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    xd, batched = _spatial(x, "global_avg_pool")
+    xd = _spatial(x, "global_avg_pool")
     b, c, h, w = xd.shape
     out = xd.mean(axis=(2, 3))
 
     def backward(g):
-        gb = g if batched else g[None]
-        dx = np.broadcast_to(gb[:, :, None, None] / (h * w), (b, c, h, w))
-        return ((dx if batched else dx[0]).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy(),)
 
-    return _record(Tensor(out if batched else out[0]), (x,), backward)
+    return _record(Tensor(out), (x,), backward)
 
 
 def upsample2x(x: Tensor) -> Tensor:
@@ -462,7 +459,7 @@ def upsample2x(x: Tensor) -> Tensor:
     1 numpy fuses the two length-2 axes into one sequential sum, so there
     the order is ``0.0 + (((g00 + g01) + g10) + g11)``.
     """
-    xd, batched = _spatial(x, "upsample2x")
+    xd = _spatial(x, "upsample2x")
     b, c, h, w = xd.shape
     out = np.empty((b, c, 2 * h, 2 * w))
     for quadrant in _quadrants(out):
@@ -479,58 +476,50 @@ def upsample2x(x: Tensor) -> Tensor:
         dx += 0.0
         return (dx,)
 
-    return _record(Tensor(out if batched else out[0]), (x,), backward)
+    return _record(Tensor(out), (x,), backward)
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the channel axis; spatial (and batch) dims must agree."""
+    """Concatenate [B,C,H,W] batches along C; B, H and W must agree."""
     if not xs:
         raise ValueError("concat_channels needs at least one tensor")
-    ndim = xs[0].ndim
-    if ndim not in (3, 4):
-        raise ShapeError(f"concat_channels expects 3-D or 4-D tensors, got {xs[0].shape}")
-    axis = 0 if ndim == 3 else 1
-    ref = xs[0].shape
+    ref = _spatial(xs[0], "concat_channels").shape
     for t in xs[1:]:
-        if t.ndim != ndim or t.shape[:axis] != ref[:axis] or t.shape[axis + 1:] != ref[axis + 1:]:
+        shape = _spatial(t, "concat_channels").shape
+        if shape[0] != ref[0] or shape[2:] != ref[2:]:
             raise ShapeError(
                 f"concat_channels: {t.shape} incompatible with {ref}")
-    sizes = [t.shape[axis] for t in xs]
-    out = np.concatenate([t.data for t in xs], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([t.data for t in xs], axis=1)
+    splits = np.cumsum([t.shape[1] for t in xs])[:-1]
 
     def backward(g):
-        return tuple(piece.copy() for piece in np.split(g, splits, axis=axis))
+        return tuple(piece.copy() for piece in np.split(g, splits, axis=1))
 
     return _record(Tensor(out), tuple(xs), backward)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: [B,F] @ [F,K] + [K] (or a single [F] vector)."""
+    """Affine map of a batch: [B,F] @ [F,K] + [K]."""
     if weight.ndim != 2:
         raise ShapeError(f"dense weight must be 2-D, got {weight.shape}")
     f, k = weight.shape
     if bias.shape != (k,):
         raise ShapeError(f"dense bias must be [{k}], got {bias.shape}")
-    if x.ndim == 1:
-        xd, batched = x.data[None], False
-    elif x.ndim == 2:
-        xd, batched = x.data, True
-    else:
-        raise ShapeError(f"dense expects [F] or [B,F], got {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"dense expects [B,F], got {x.shape}")
+    xd = x.data
     if xd.shape[1] != f:
         raise ShapeError(f"dense: input has {xd.shape[1]} features, weight expects {f}")
     # per-sample GEMV keeps each row bit-identical for any batch size
     out = np.matmul(xd[:, None, :], weight.data)[:, 0, :] + bias.data
 
     def backward(g):
-        gb = g if batched else g[None]
-        dx = np.matmul(gb[:, None, :], weight.data.T)[:, 0, :]
-        dw = xd.T @ gb
-        db = gb.sum(axis=0)
-        return ((dx if batched else dx[0]), dw, db)
+        dx = np.matmul(g[:, None, :], weight.data.T)[:, 0, :]
+        dw = xd.T @ g
+        db = g.sum(axis=0)
+        return dx, dw, db
 
-    return _record(Tensor(out if batched else out[0]), (x, weight, bias), backward)
+    return _record(Tensor(out), (x, weight, bias), backward)
 
 
 def he_init(shape: Sequence[int], fan_in: int, seed: int,

@@ -135,7 +135,9 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     are clamped at 1e-12 before the log, and the gradient is zero inside
     the clamped region.
     """
-    pd = probs.data if probs.ndim == 2 else probs.data[None]
+    if probs.ndim != 2:
+        raise ShapeError(f"cross_entropy_loss expects [B,K], got {probs.shape}")
+    pd = probs.data
     n, k = pd.shape
     labels = list(labels)
     if len(labels) != n:
@@ -153,7 +155,7 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
         live = picked > CROSS_ENTROPY_CLAMP
         grad[idx[live], np.asarray(labels)[live]] = -1.0 / (n * clamped[live])
         grad *= g.reshape(-1)[0]
-        return (grad if probs.ndim == 2 else grad[0],)
+        return (grad,)
 
     return apply_op(np.array([value]), (probs,), backward)
 

@@ -50,6 +50,18 @@ def with_config(blob: bytes, **changes) -> bytes:
 DESK_CLS_FILE = model_file(get_preset("xray-det-desk").model)
 
 
+def three_channel_file() -> bytes:
+    """The desk classifier's file made to fit a three-channel input: its
+    config says 3x32x32 and its first unit's kernels take three channels."""
+    model = build_model(get_preset("xray-det-desk").model)
+    for _, param in model.params.items():
+        if param.ndim == 4 and param.shape[1] == 1:
+            param.data = np.repeat(param.data, 3, axis=1)
+    buf = io.BytesIO()
+    save_weights(model.params, buf)
+    return with_config(buf.getvalue(), input_shape="3x32x32")
+
+
 def train_tiny(tmp_path, data, preset="xray-det-desk", epochs=1, name="run", seed=5):
     out = tmp_path / name
     code = run(["train", "--dataset", str(data), "--preset", preset,
@@ -393,11 +405,14 @@ def test_eval_missing_labels_is_data_error(tmp_path):
     ("eval", with_config(DESK_CLS_FILE, architecture="resnet")),
     ("eval", with_config(DESK_CLS_FILE, input_shape="1x30x30")),
     ("eval", with_config(DESK_CLS_FILE, recurrence_steps=None)),
+    ("eval", three_channel_file()),
+    # the same widths as 0.125, but .10g writes it as 0.125
+    ("eval", with_config(DESK_CLS_FILE, width_scale="0.1249999999999999")),
     ("pipeline", DESK_CLS_FILE),
     ("eval", as_v1(DESK_CLS_FILE)),
 ], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan", "duplicate-name",
         "unknown-architecture", "indivisible-input", "missing-recurrence-steps",
-        "pipeline-on-classifier", "v1-file"])
+        "three-channels", "width-scale-past-10-digits", "pipeline-on-classifier", "v1-file"])
 def test_eval_malformed_weights_is_model_error(tmp_path, command, payload):
     data = gen(tmp_path, kind="segmentation", count=4, size=32)
     bad = tmp_path / "bad.cmtw"

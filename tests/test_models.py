@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from chestkit import kvtext
 from chestkit.models import (
     IRRU,
     IRRUConfig,
@@ -18,12 +21,26 @@ from chestkit.models import (
     assign_weights,
     build_model,
     load_weights,
+    model_config_fields,
     param_count,
     save_weights,
 )
 from chestkit.rng import DetRng
-from chestkit.tensor import Tape, Tensor, conv2d, relu, sum_all
-from chestkit.training import get_preset
+from chestkit.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    concat_channels,
+    conv2d,
+    dense,
+    global_avg_pool,
+    max_pool2d,
+    relu,
+    softmax,
+    sum_all,
+    upsample2x,
+)
+from chestkit.training import cross_entropy_loss, get_preset
 
 from conftest import rel_error
 
@@ -45,7 +62,7 @@ def test_recurrent_conv_zero_steps_is_plain_conv_relu():
     from chestkit.models import RecurrentConv
 
     rc = RecurrentConv(store, "rc", c_in=2, c_out=3, kernel=3, steps=0, seed=5)
-    x = rand_image((2, 8, 8), seed=1)
+    x = rand_image((1, 2, 8, 8), seed=1)
     expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, padding=1))
     assert np.array_equal(rc.forward(x).data, expected.data)
 
@@ -57,7 +74,7 @@ def test_recurrent_conv_zero_recurrent_kernel_matches_zero_steps():
     rc = RecurrentConv(store, "rc", c_in=1, c_out=2, kernel=3, steps=1, seed=6)
     rc.rec_w.data[:] = 0.0
     rc.rec_b.data[:] = 0.0
-    x = rand_image((1, 6, 6), seed=2)
+    x = rand_image((1, 1, 6, 6), seed=2)
     expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, padding=1))
     assert np.array_equal(rc.forward(x).data, expected.data)
 
@@ -65,7 +82,7 @@ def test_recurrent_conv_zero_recurrent_kernel_matches_zero_steps():
 def test_recurrent_conv_function_rejects_channel_mismatch():
     from chestkit.models import recurrent_conv
 
-    x = rand_image((2, 6, 6), seed=1)
+    x = rand_image((1, 2, 6, 6), seed=1)
     fwd_w = rand_image((3, 2, 3, 3), seed=2)
     fwd_b = Tensor(np.zeros(3))
     rec_w = rand_image((4, 4, 3, 3), seed=3)   # wrong: must be 3 -> 3
@@ -91,8 +108,8 @@ def test_recurrent_conv_matches_scalar_unroll():
     z = f
     for _ in range(2):
         z = max(0.0, f + wr * z + br)
-    out = rc.forward(Tensor(np.array([[[x_val]]])))
-    assert abs(out.data[0, 0, 0] - z) < 1e-12
+    out = rc.forward(Tensor(np.array([[[[x_val]]]])))
+    assert abs(out.data[0, 0, 0, 0] - z) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +118,15 @@ def test_recurrent_conv_matches_scalar_unroll():
 
 def test_irru_preserves_shape_when_channels_match():
     unit = IRRU(IRRUConfig(8, 8), seed=3)
-    x = rand_image((8, 16, 16), seed=4)
-    assert unit.forward(x).shape == (8, 16, 16)
+    x = rand_image((1, 8, 16, 16), seed=4)
+    assert unit.forward(x).shape == (1, 8, 16, 16)
 
 
 @pytest.mark.parametrize("c_in,c_out,hw", [(1, 6, 8), (4, 4, 12), (3, 10, 16)])
 def test_irru_preserves_spatial_dims(c_in, c_out, hw):
     unit = IRRU(IRRUConfig(c_in, c_out), seed=8)
-    x = rand_image((c_in, hw, hw), seed=9)
-    assert unit.forward(x).shape == (c_out, hw, hw)
+    x = rand_image((1, c_in, hw, hw), seed=9)
+    assert unit.forward(x).shape == (1, c_out, hw, hw)
 
 
 def test_irru_dead_branches_leave_residual_projection():
@@ -119,7 +136,7 @@ def test_irru_dead_branches_leave_residual_projection():
         br.fwd_b.data[:] = 0.0
         br.rec_w.data[:] = 0.0
         br.rec_b.data[:] = 0.0
-    x = rand_image((2, 8, 8), seed=11)
+    x = rand_image((1, 2, 8, 8), seed=11)
     expected = conv2d(x, unit.proj_w, unit.proj_b)
     assert np.array_equal(unit.forward(x).data, expected.data)
 
@@ -137,7 +154,7 @@ def test_irru_infeasible_split_rejected():
 
 def test_irru_gradient_reaches_every_branch_kernel():
     unit = IRRU(IRRUConfig(2, 4), seed=13)
-    x = rand_image((2, 8, 8), seed=14)
+    x = rand_image((1, 2, 8, 8), seed=14)
     with Tape() as tape:
         loss = sum_all(unit.forward(x))
     grads = tape.backward(loss)
@@ -154,8 +171,8 @@ def test_irru_gradient_reaches_every_branch_kernel():
 def test_irrcnn_at_128_input_gives_probability_pair():
     cfg = ModelConfig("irrcnn", (1, 128, 128), width_scale=0.125, num_classes=2)
     model = build_model(cfg, seed=15)
-    out = model.forward(rand_image((1, 128, 128), seed=16))
-    assert out.shape == (2,)
+    out = model.forward(rand_image((1, 1, 128, 128), seed=16))
+    assert out.shape == (1, 2)
     assert abs(out.data.sum() - 1.0) < 1e-9
     assert np.all(out.data >= 0.0)
 
@@ -169,8 +186,8 @@ def test_irrcnn_batched_rows_are_probabilities():
 
 def test_irrcnn_desk_config_builds_and_runs():
     model = build_model(DESK_CLS, seed=19)
-    out = model.forward(rand_image((1, 32, 32), seed=20))
-    assert out.shape == (2,)
+    out = model.forward(rand_image((1, 1, 32, 32), seed=20))
+    assert out.shape == (1, 2)
 
 
 def test_irrcnn_rejects_indivisible_input():
@@ -183,26 +200,26 @@ def test_irrcnn_batch_of_one_matches_row_of_batch_bitwise():
     batch = rand_image((4, 1, 32, 32), seed=22)
     full = model.forward(batch).data
     for i in range(4):
-        row = model.forward(Tensor(batch.data[i])).data
-        assert np.array_equal(full[i], row)
+        row = model.forward(Tensor(batch.data[i:i + 1])).data
+        assert np.array_equal(full[i], row[0])
 
 
 def test_irrcnn_eval_mode_allocates_no_tape():
     model = build_model(DESK_CLS, seed=23)
-    out = model.forward(rand_image((1, 32, 32), seed=24))
+    out = model.forward(rand_image((1, 1, 32, 32), seed=24))
     assert out._tape is None
 
 
 def test_irrcnn_forward_is_pure():
     model = build_model(DESK_CLS, seed=25)
-    x = rand_image((1, 32, 32), seed=26)
+    x = rand_image((1, 1, 32, 32), seed=26)
     assert np.array_equal(model.forward(x).data, model.forward(x).data)
 
 
 def test_irrcnn_rejects_wrong_batch_shape():
     model = build_model(DESK_CLS, seed=27)
-    with pytest.raises(ValueError):
-        model.forward(rand_image((1, 64, 64), seed=28))
+    with pytest.raises(ShapeError, match=r"built for input \(1, 32, 32\), got \(1, 64, 64\)"):
+        model.forward(rand_image((1, 1, 64, 64), seed=28))
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +229,22 @@ def test_irrcnn_rejects_wrong_batch_shape():
 def test_nabla3_xray_input_size():
     cfg = ModelConfig("nabla3", (1, 192, 192), width_scale=0.125)
     model = build_model(cfg, seed=29)
-    out = model.forward(rand_image((1, 192, 192), seed=30))
-    assert out.shape == (1, 192, 192)
+    out = model.forward(rand_image((1, 1, 192, 192), seed=30))
+    assert out.shape == (1, 1, 192, 192)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
 
 def test_nabla3_ct_input_size():
     cfg = ModelConfig("nabla3", (1, 256, 256), width_scale=0.125)
     model = build_model(cfg, seed=31)
-    out = model.forward(rand_image((1, 256, 256), seed=32))
-    assert out.shape == (1, 256, 256)
+    out = model.forward(rand_image((1, 1, 256, 256), seed=32))
+    assert out.shape == (1, 1, 256, 256)
 
 
 def test_nabla3_desk_config():
     model = build_model(DESK_SEG, seed=33)
-    out = model.forward(rand_image((1, 32, 32), seed=34))
-    assert out.shape == (1, 32, 32)
+    out = model.forward(rand_image((1, 1, 32, 32), seed=34))
+    assert out.shape == (1, 1, 32, 32)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
 
@@ -236,12 +253,50 @@ def test_nabla3_seg_desk_batch_of_one_matches_row_of_batch_bitwise():
     batch = rand_image((4, 1, 64, 64), seed=37)
     full = model.forward(batch).data
     for i in range(4):
-        assert np.array_equal(full[i], model.forward(Tensor(batch.data[i])).data)
+        assert np.array_equal(full[i], model.forward(Tensor(batch.data[i:i + 1])).data[0])
 
 
 def test_nabla3_rejects_indivisible_input():
     with pytest.raises(ValueError):
         build_model(ModelConfig("nabla3", (1, 100, 100)))
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"input_shape": (3, 32, 32)}, "1 channel, got 3"),
+    ({"width_scale": 1 / 3}, "more than 10 significant digits"),
+], ids=["three-channels", "width-scale-past-10-digits"])
+def test_model_config_rejects_what_a_weight_file_cannot_rebuild(changes, match):
+    # every corpus is grayscale, and a v2 file writes width_scale with .10g
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(DESK_CLS, **changes)
+
+
+UNBATCHED_IMAGE = Tensor(np.zeros((1, 32, 32)))   # [C,H,W]
+
+
+@pytest.mark.parametrize("call, layout", [
+    pytest.param(lambda: conv2d(UNBATCHED_IMAGE, Tensor(np.zeros((1, 1, 3, 3))),
+                                Tensor(np.zeros(1)), padding=1),
+                 "[B,C,H,W]", id="conv2d"),
+    pytest.param(lambda: max_pool2d(UNBATCHED_IMAGE), "[B,C,H,W]", id="max_pool2d"),
+    pytest.param(lambda: global_avg_pool(UNBATCHED_IMAGE), "[B,C,H,W]", id="global_avg_pool"),
+    pytest.param(lambda: upsample2x(UNBATCHED_IMAGE), "[B,C,H,W]", id="upsample2x"),
+    pytest.param(lambda: concat_channels([UNBATCHED_IMAGE, UNBATCHED_IMAGE]), "[B,C,H,W]",
+                 id="concat_channels"),
+    pytest.param(lambda: dense(Tensor(np.zeros(4)), Tensor(np.zeros((4, 3))),
+                               Tensor(np.zeros(3))), "[B,F]", id="dense"),
+    pytest.param(lambda: softmax(Tensor(np.zeros(3))), "[B,K]", id="softmax"),
+    pytest.param(lambda: cross_entropy_loss(Tensor([0.25, 0.75]), [1]), "[B,K]",
+                 id="cross_entropy_loss"),
+    pytest.param(lambda: build_model(DESK_CLS).forward(UNBATCHED_IMAGE), "[B,C,H,W]",
+                 id="irrcnn"),
+    pytest.param(lambda: build_model(DESK_SEG).forward(UNBATCHED_IMAGE), "[B,C,H,W]",
+                 id="nabla3"),
+])
+def test_unbatched_input_is_rejected_naming_the_layout(call, layout):
+    with pytest.raises(ShapeError) as caught:
+        call()
+    assert f"expects {layout}, got" in str(caught.value)
 
 
 def test_nabla3_decoder_layout():
@@ -397,6 +452,17 @@ def test_weight_file_non_finite_values_rejected(bad):
         load_weights(io.BytesIO(payload))
 
 
+def test_weight_file_signalling_nan_is_typed_without_warning():
+    # a float32 signalling NaN warns "invalid value" when cast to float64
+    config = kvtext.to_text(model_config_fields(DESK_CLS)).encode()
+    record = one_tensor_file(b"w", (2,), struct.pack("<2I", 0x3F800000, 0x7FA00000))[12:]
+    payload = b"CMTW" + struct.pack("<III", 2, 1, len(config)) + config + record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightFormatError, match="NaN or Inf"):
+            load_weights(io.BytesIO(payload))
+
+
 def test_weight_file_writer_helper_loads_when_well_formed():
     payload = one_tensor_file(b"w", (2,), struct.pack("<2f", 1.0, -2.0))
     store = load_weights(io.BytesIO(payload))
@@ -414,7 +480,7 @@ def test_store_rejects_duplicate_and_empty_names():
 
 def test_assign_weights_roundtrip_preserves_forward(tmp_path):
     model = build_model(DESK_CLS, seed=43)
-    x = rand_image((1, 32, 32), seed=44)
+    x = rand_image((1, 1, 32, 32), seed=44)
     before = model.forward(x).data
     path = tmp_path / "m.cmtw"
     save_weights(model.params, path)
@@ -456,5 +522,5 @@ def test_weight_file_carries_model_config(tmp_path):
         assert store.config == model.config
         rebuilt = build_model(store.config, seed=0)
         assign_weights(rebuilt, store)
-        x = rand_image(cfg.input_shape, seed=48)
+        x = rand_image((1, *cfg.input_shape), seed=48)
         assert rebuilt.forward(x).shape == model.forward(x).shape

@@ -135,7 +135,7 @@ def adaptive_brute(img, roi, window, offset):
 
 
 def test_binarize_all_high():
-    probs = Tensor(np.full((1, 4, 4), 0.9))
+    probs = np.full((4, 4), 0.9)
     assert np.all(binarize(probs))
 
 
@@ -615,8 +615,8 @@ def test_pipeline_equals_hand_chained_stages():
         seg = OracleSegmenter(lungs)
         result = run_pipeline(img, seg, mode="lung")
 
-        probs = seg.forward(Tensor(minmax_normalize(img)[None]))
-        mask = binarize(probs, 0.5)
+        probs = seg.forward(Tensor(minmax_normalize(img)[None, None]))
+        mask = binarize(probs.data[0, 0], 0.5)
         refined = open_mask(close_mask(mask))
         regions = connected_components(refined, 8)
         region_mask = select_largest(regions, 2, shape=img.shape)

@@ -44,7 +44,7 @@ def rand_tensor(shape, seed, requires_grad=False, scale=1.0):
 
 
 def test_conv2d_identity_kernel_reproduces_input():
-    img = rand_tensor((1, 3, 3), seed=1)
+    img = rand_tensor((1, 1, 3, 3), seed=1)
     k = np.zeros((1, 1, 3, 3))
     k[0, 0, 1, 1] = 1.0
     out = conv2d(img, Tensor(k), Tensor(np.zeros(1)), padding=1)
@@ -52,38 +52,38 @@ def test_conv2d_identity_kernel_reproduces_input():
 
 
 def test_conv2d_ones_window_sums_to_nine():
-    img = Tensor(np.ones((1, 4, 4)))
+    img = Tensor(np.ones((1, 1, 4, 4)))
     k = Tensor(np.ones((1, 1, 3, 3)))
     out = conv2d(img, k, Tensor(np.zeros(1)))
-    assert out.shape == (1, 2, 2)
-    assert np.array_equal(out.data, np.full((1, 2, 2), 9.0))
+    assert out.shape == (1, 1, 2, 2)
+    assert np.array_equal(out.data, np.full((1, 1, 2, 2), 9.0))
 
 
 def test_conv2d_pointwise_affine():
-    img = rand_tensor((1, 5, 4), seed=2)
+    img = rand_tensor((1, 1, 5, 4), seed=2)
     k = Tensor(np.full((1, 1, 1, 1), 2.0))
     out = conv2d(img, k, Tensor(np.ones(1)))
     assert np.allclose(out.data, 2.0 * img.data + 1.0, atol=0, rtol=0)
 
 
 def test_conv2d_channel_mismatch_names_both_dims():
-    img = Tensor(np.zeros((3, 4, 4)))
+    img = Tensor(np.zeros((1, 3, 4, 4)))
     k = Tensor(np.zeros((2, 5, 3, 3)))
     with pytest.raises(ShapeError, match=r"5.*3|3.*5"):
         conv2d(img, k, Tensor(np.zeros(2)), padding=1)
 
 
 def test_conv2d_kernel_larger_than_padded_input_rejected():
-    img = Tensor(np.zeros((1, 2, 2)))
+    img = Tensor(np.zeros((1, 1, 2, 2)))
     k = Tensor(np.zeros((1, 1, 5, 5)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="kernel 5x5 larger than padded input 2x2"):
         conv2d(img, k, Tensor(np.zeros(1)))
 
 
 def test_conv2d_is_linear_with_zero_bias():
     rng = DetRng(3)
-    x = Tensor(rng.normal(2 * 6 * 6).reshape(2, 6, 6))
-    y = Tensor(rng.normal(2 * 6 * 6).reshape(2, 6, 6))
+    x = Tensor(rng.normal(2 * 6 * 6).reshape(1, 2, 6, 6))
+    y = Tensor(rng.normal(2 * 6 * 6).reshape(1, 2, 6, 6))
     k = Tensor(rng.normal(3 * 2 * 9).reshape(3, 2, 3, 3))
     zero = Tensor(np.zeros(3))
     alpha, beta = 0.7, -1.3
@@ -107,8 +107,8 @@ def check_conv2d_forward_batch_invariance():
     b = rand_tensor((3,), seed=6)
     full = conv2d(batch, k, b, padding=1).data
     for i in range(4):
-        single = conv2d(Tensor(batch.data[i]), k, b, padding=1).data
-        assert np.array_equal(full[i], single)
+        single = conv2d(Tensor(batch.data[i:i + 1]), k, b, padding=1).data
+        assert np.array_equal(full[i], single[0])
 
 
 def test_conv2d_batched_matches_per_sample_bitwise():
@@ -122,7 +122,7 @@ def test_conv2d_batched_matches_per_sample_bitwise_in_blocks(cols_bytes, monkeyp
 
 
 def test_conv2d_gradients_match_finite_differences():
-    x = rand_tensor((1, 5, 5), seed=7, requires_grad=True)
+    x = rand_tensor((1, 1, 5, 5), seed=7, requires_grad=True)
     k = rand_tensor((2, 1, 3, 3), seed=8, requires_grad=True)
     b = rand_tensor((2,), seed=9, requires_grad=True)
     with Tape() as tape:
@@ -137,11 +137,11 @@ def test_conv2d_gradients_match_finite_differences():
 
 
 def test_conv2d_output_size():
-    img = Tensor(np.arange(49, dtype=float).reshape(1, 7, 7))
+    img = Tensor(np.arange(49, dtype=float).reshape(1, 1, 7, 7))
     out = conv2d(img, Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
-    assert out.shape == (1, 5, 5)
+    assert out.shape == (1, 1, 5, 5)
     out = conv2d(img, Tensor(np.ones((1, 1, 5, 5))), Tensor(np.zeros(1)), padding=2)
-    assert out.shape == (1, 7, 7)
+    assert out.shape == (1, 1, 7, 7)
 
 
 # (kernel, stride, padding, input side); conv2d runs at stride 1 only, so the
@@ -152,12 +152,12 @@ GRADIENT_GEOMETRIES = [(3, 1, 1, 6), (1, 1, 0, 5), (3, 1, 2, 4), (1, 1, 1, 5)]
 
 @pytest.mark.parametrize("k,stride,padding,side", GRADIENT_GEOMETRIES)
 def test_conv2d_geometry_gradients_match_finite_differences(k, stride, padding, side):
-    x = rand_tensor((2, side, side), seed=10, requires_grad=True)
+    x = rand_tensor((1, 2, side, side), seed=10, requires_grad=True)
     kern = rand_tensor((3, 2, k, k), seed=11, requires_grad=True)
     b = rand_tensor((3,), seed=12, requires_grad=True)
     oh = (side + 2 * padding - k) // stride + 1
     # a non-uniform upstream gradient, so each output pixel weighs differently
-    upstream = rand_tensor((3, oh, oh), seed=13)
+    upstream = rand_tensor((1, 3, oh, oh), seed=13)
     with Tape() as tape:
         loss = sum_all(mul(conv2d(x, kern, b, padding=padding), upstream))
     grads = tape.backward(loss)
@@ -205,7 +205,8 @@ def check_conv2d_input_gradient_batch_invariance():
 
     full = input_grad(batch.data, upstream.data)
     for i in range(4):
-        assert np.array_equal(full[i], input_grad(batch.data[i], upstream.data[i]))
+        single = input_grad(batch.data[i:i + 1], upstream.data[i:i + 1])
+        assert np.array_equal(full[i], single[0])
 
 
 def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
@@ -337,25 +338,25 @@ def test_conv2d_kernel_gradient_matches_per_sample_oracle(k, padding, batch):
 
 
 def test_max_pool_picks_window_max():
-    out = max_pool2d(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
-    assert out.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 4.0
+    out = max_pool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    assert out.shape == (1, 1, 1, 1)
+    assert out.data[0, 0, 0, 0] == 4.0
 
 
 def test_max_pool_constant_image_halves_resolution():
-    img = Tensor(np.full((3, 8, 6), 2.5))
+    img = Tensor(np.full((1, 3, 8, 6), 2.5))
     out = max_pool2d(img)
-    assert out.shape == (3, 4, 3)
+    assert out.shape == (1, 3, 4, 3)
     assert np.all(out.data == 2.5)
 
 
 def test_max_pool_rejects_odd_dims():
-    with pytest.raises(ShapeError):
-        max_pool2d(Tensor(np.zeros((1, 3, 4))))
+    with pytest.raises(ShapeError, match="even spatial dims, got 3x4"):
+        max_pool2d(Tensor(np.zeros((1, 1, 3, 4))))
 
 
 def test_max_pool_gradient_is_one_hot_per_window():
-    x = rand_tensor((2, 6, 6), seed=11, requires_grad=True)
+    x = rand_tensor((1, 2, 6, 6), seed=11, requires_grad=True)
     with Tape() as tape:
         loss = sum_all(max_pool2d(x))
     grads = tape.backward(loss)
@@ -371,12 +372,12 @@ def test_max_pool_gradient_is_one_hot_per_window():
 
 
 def test_max_pool_tie_routes_to_first_in_row_major():
-    x = Tensor(np.full((1, 2, 2), 7.0), requires_grad=True)
+    x = Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
     with Tape() as tape:
         loss = sum_all(max_pool2d(x))
     grads = tape.backward(loss)
-    expected = np.zeros((1, 2, 2))
-    expected[0, 0, 0] = 1.0
+    expected = np.zeros((1, 1, 2, 2))
+    expected[0, 0, 0, 0] = 1.0
     assert np.array_equal(grads[x], expected)
 
 
@@ -427,11 +428,8 @@ def test_max_pool_byte_equal_to_brute(batch, h, w):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)      # NaN * g in the loss
         out, dx = input_grad(max_pool2d, x, g)
-        out3, dx3 = input_grad(max_pool2d, x[0], g[0])
     assert out.tobytes() == want_out.tobytes()
     assert dx.tobytes() == want_dx.tobytes()
-    assert out3.tobytes() == want_out[0].tobytes()
-    assert dx3.tobytes() == want_dx[0].tobytes()
 
 
 def test_max_pool_input_gradient_batched_matches_per_sample_bitwise():
@@ -441,7 +439,6 @@ def test_max_pool_input_gradient_batched_matches_per_sample_bitwise():
         _, full = input_grad(max_pool2d, x, g)
         for i in range(6):
             assert full[i].tobytes() == input_grad(max_pool2d, x[i:i + 1], g[i:i + 1])[1][0].tobytes()
-            assert full[i].tobytes() == input_grad(max_pool2d, x[i], g[i])[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +514,18 @@ def test_sigmoid_gradient_matches_finite_differences():
 
 
 def test_softmax_uniform_input():
-    out = softmax(Tensor(np.zeros(7)))
+    out = softmax(Tensor(np.zeros((1, 7))))
     assert np.allclose(out.data, 1.0 / 7.0, atol=1e-15)
 
 
 def test_softmax_closed_form_quarter_three_quarters():
-    out = softmax(Tensor([0.0, math.log(3.0)]))
-    assert abs(out.data[0] - 0.25) < 1e-12
-    assert abs(out.data[1] - 0.75) < 1e-12
+    out = softmax(Tensor([[0.0, math.log(3.0)]]))
+    assert abs(out.data[0, 0] - 0.25) < 1e-12
+    assert abs(out.data[0, 1] - 0.75) < 1e-12
 
 
 def test_softmax_shift_invariance():
-    x = rand_tensor((9,), seed=16, scale=10.0)
+    x = rand_tensor((1, 9), seed=16, scale=10.0)
     shifted = Tensor(x.data + 123.456)
     assert np.max(np.abs(softmax(x).data - softmax(shifted).data)) < 1e-12
 
@@ -536,7 +533,7 @@ def test_softmax_shift_invariance():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
 def test_softmax_sums_to_one(values):
-    out = softmax(Tensor(values))
+    out = softmax(Tensor([values]))
     assert abs(out.data.sum() - 1.0) <= 1e-9
     assert np.all(out.data > 0.0)
 
@@ -560,17 +557,17 @@ def test_softmax_gradient_matches_finite_differences():
 
 
 def test_global_avg_pool_constant_channel():
-    img = Tensor(np.full((4, 5, 5), 3.25))
-    assert np.array_equal(global_avg_pool(img).data, np.full(4, 3.25))
+    img = Tensor(np.full((1, 4, 5, 5), 3.25))
+    assert np.array_equal(global_avg_pool(img).data, np.full((1, 4), 3.25))
 
 
 def test_global_avg_pool_mean_value():
-    img = Tensor(np.array([[[0.0, 2.0], [4.0, 6.0]]]))
-    assert global_avg_pool(img).data[0] == 3.0
+    img = Tensor(np.array([[[[0.0, 2.0], [4.0, 6.0]]]]))
+    assert global_avg_pool(img).data[0, 0] == 3.0
 
 
 def test_global_avg_pool_gradient_uniform():
-    x = rand_tensor((2, 4, 4), seed=19, requires_grad=True)
+    x = rand_tensor((1, 2, 4, 4), seed=19, requires_grad=True)
     with Tape() as tape:
         loss = sum_all(global_avg_pool(x))
     grads = tape.backward(loss)
@@ -578,20 +575,20 @@ def test_global_avg_pool_gradient_uniform():
 
 
 def test_upsample2x_replicates_blocks():
-    out = upsample2x(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
-    expected = np.array([[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]], dtype=float)
+    out = upsample2x(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    expected = np.array([[[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]]], dtype=float)
     assert np.array_equal(out.data, expected)
 
 
 def test_upsample_then_pool_roundtrip():
-    x = rand_tensor((3, 5, 4), seed=20)
+    x = rand_tensor((1, 3, 5, 4), seed=20)
     back = max_pool2d(upsample2x(x))
     assert np.array_equal(back.data, x.data)
 
 
 def test_upsample2x_gradient_matches_finite_differences():
-    x = rand_tensor((1, 3, 3), seed=21, requires_grad=True)
-    w = DetRng(22).random(36).reshape(1, 6, 6)
+    x = rand_tensor((1, 1, 3, 3), seed=21, requires_grad=True)
+    w = DetRng(22).random(36).reshape(1, 1, 6, 6)
     with Tape() as tape:
         loss = sum_all(mul(upsample2x(x), Tensor(w)))
     grads = tape.backward(loss)
@@ -628,8 +625,6 @@ def test_upsample2x_byte_equal_to_brute(batch, h, w):
     out, dx = input_grad(upsample2x, x, g)
     assert out.tobytes() == x.repeat(2, axis=2).repeat(2, axis=3).tobytes()
     assert dx.tobytes() == upsample2x_backward_brute(g).tobytes()
-    _, dx3 = input_grad(upsample2x, x[0], g[0])
-    assert dx3.tobytes() == upsample2x_backward_brute(g[:1])[0].tobytes()
 
 
 def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
@@ -638,45 +633,44 @@ def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
     _, full = input_grad(upsample2x, x, g)
     for i in range(6):
         assert full[i].tobytes() == input_grad(upsample2x, x[i:i + 1], g[i:i + 1])[1][0].tobytes()
-        assert full[i].tobytes() == input_grad(upsample2x, x[i], g[i])[1].tobytes()
 
 
 def test_concat_channels_shapes_and_order():
-    a = rand_tensor((1, 2, 2), seed=23)
-    b = rand_tensor((2, 2, 2), seed=24)
+    a = rand_tensor((1, 1, 2, 2), seed=23)
+    b = rand_tensor((1, 2, 2, 2), seed=24)
     out = concat_channels([a, b])
-    assert out.shape == (3, 2, 2)
-    assert np.array_equal(out.data[:1], a.data)
-    assert np.array_equal(out.data[1:], b.data)
+    assert out.shape == (1, 3, 2, 2)
+    assert np.array_equal(out.data[:, :1], a.data)
+    assert np.array_equal(out.data[:, 1:], b.data)
 
 
 def test_concat_single_tensor_is_identity():
-    a = rand_tensor((2, 3, 3), seed=25)
+    a = rand_tensor((1, 2, 3, 3), seed=25)
     assert np.array_equal(concat_channels([a]).data, a.data)
 
 
 def test_concat_split_roundtrip():
-    a = rand_tensor((2, 3, 3), seed=26)
-    b = rand_tensor((3, 3, 3), seed=27)
+    a = rand_tensor((1, 2, 3, 3), seed=26)
+    b = rand_tensor((1, 3, 3, 3), seed=27)
     merged = concat_channels([a, b]).data
-    assert np.array_equal(merged[:2], a.data)
-    assert np.array_equal(merged[2:], b.data)
+    assert np.array_equal(merged[:, :2], a.data)
+    assert np.array_equal(merged[:, 2:], b.data)
 
 
 def test_concat_rejects_mismatched_spatial_dims():
-    with pytest.raises(ShapeError):
-        concat_channels([Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 3, 2)))])
+    with pytest.raises(ShapeError, match="incompatible"):
+        concat_channels([Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 2)))])
 
 
 def test_concat_gradient_splits_back():
-    a = rand_tensor((1, 2, 2), seed=28, requires_grad=True)
-    b = rand_tensor((2, 2, 2), seed=29, requires_grad=True)
-    w = DetRng(30).random(12).reshape(3, 2, 2)
+    a = rand_tensor((1, 1, 2, 2), seed=28, requires_grad=True)
+    b = rand_tensor((1, 2, 2, 2), seed=29, requires_grad=True)
+    w = DetRng(30).random(12).reshape(1, 3, 2, 2)
     with Tape() as tape:
         loss = sum_all(mul(concat_channels([a, b]), Tensor(w)))
     grads = tape.backward(loss)
-    assert np.array_equal(grads[a], w[:1])
-    assert np.array_equal(grads[b], w[1:])
+    assert np.array_equal(grads[a], w[:, :1])
+    assert np.array_equal(grads[b], w[:, 1:])
 
 
 def test_add_zero_identity_and_commutativity():
@@ -943,7 +937,7 @@ def test_he_init_rejects_bad_fan_in():
 
 
 def test_ops_are_pure():
-    x = rand_tensor((2, 4, 4), seed=40)
+    x = rand_tensor((1, 2, 4, 4), seed=40)
     k = rand_tensor((3, 2, 3, 3), seed=41)
     b = rand_tensor((3,), seed=42)
     first = conv2d(x, k, b, padding=1).data
@@ -966,21 +960,22 @@ def _fd_cases():
     return {
         "conv2d": (
             lambda ts: conv2d(ts[0], ts[1], ts[2], padding=1),
-            [(2, 5, 5), (3, 2, 3, 3), (3,)],
+            [(1, 2, 5, 5), (3, 2, 3, 3), (3,)],
         ),
-        "max_pool2d": (lambda ts: max_pool2d(ts[0]), [(2, 4, 4)]),
+        "max_pool2d": (lambda ts: max_pool2d(ts[0]), [(1, 2, 4, 4)]),
         "relu_shifted": (lambda ts: relu(add(ts[0], Tensor(np.full((3, 3), 0.05)))), [(3, 3)]),
         "sigmoid": (lambda ts: sigmoid(ts[0]), [(7,)]),
-        "softmax": (lambda ts: mul(softmax(ts[0]), Tensor(np.arange(1.0, 6.0))), [(5,)]),
-        "global_avg_pool": (lambda ts: global_avg_pool(ts[0]), [(3, 4, 4)]),
+        "softmax": (lambda ts: mul(softmax(ts[0]), Tensor(np.arange(1.0, 6.0)[None])),
+                    [(1, 5)]),
+        "global_avg_pool": (lambda ts: global_avg_pool(ts[0]), [(1, 3, 4, 4)]),
         "upsample2x": (
-            lambda ts: mul(upsample2x(ts[0]), Tensor(np.arange(16.0).reshape(1, 4, 4))),
-            [(1, 2, 2)],
+            lambda ts: mul(upsample2x(ts[0]), Tensor(np.arange(16.0).reshape(1, 1, 4, 4))),
+            [(1, 1, 2, 2)],
         ),
         "concat_channels": (
             lambda ts: mul(concat_channels([ts[0], ts[1]]),
-                           Tensor(np.arange(12.0).reshape(3, 2, 2))),
-            [(1, 2, 2), (2, 2, 2)],
+                           Tensor(np.arange(12.0).reshape(1, 3, 2, 2))),
+            [(1, 1, 2, 2), (1, 2, 2, 2)],
         ),
         "add": (lambda ts: add(ts[0], ts[1]), [(6,), (6,)]),
         "mul": (lambda ts: mul(ts[0], ts[1]), [(6,), (6,)]),

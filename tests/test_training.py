@@ -348,7 +348,7 @@ def test_transfer_identical_architecture_copies_forward_behavior():
     donor = build_model(TINY_CLS, seed=11)
     target = build_model(TINY_CLS, seed=12)
     transfer_init(target, donor.params, reinit_head=False)
-    x = Tensor(DetRng(13).normal(32 * 32).reshape(1, 32, 32))
+    x = Tensor(DetRng(13).normal(32 * 32).reshape(1, 1, 32, 32))
     assert np.array_equal(target.forward(x).data, donor.forward(x).data)
 
 
