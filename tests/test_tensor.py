@@ -220,6 +220,31 @@ def test_conv2d_input_gradient_batched_matches_per_sample_bitwise_in_blocks(
     check_conv2d_input_gradient_batch_invariance()
 
 
+def test_conv2d_one_image_equals_a_batch_of_one():
+    # conv2d's one unbatched entry: [C,H,W] in, [C_out,H,W] out and an
+    # input gradient shaped like the image, each equal to a batch of one
+    image = rand_tensor((2, 6, 5), seed=44)
+    k = rand_tensor((3, 2, 3, 3), seed=45, requires_grad=True)
+    b = rand_tensor((3,), seed=46, requires_grad=True)
+    upstream = rand_tensor((3, 6, 5), seed=47)
+
+    def run(x, g):
+        x = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, k, b, padding=1)
+            loss = sum_all(mul(out, Tensor(g)))
+        grads = tape.backward(loss)
+        return out.data, grads[x], grads[k], grads[b]
+
+    one = run(image.data, upstream.data)
+    batch = run(image.data[None], upstream.data[None])
+    assert one[0].shape == (3, 6, 5) and one[1].shape == (2, 6, 5)
+    for got, want in zip(one, batch):
+        assert np.array_equal(got, want.reshape(got.shape))
+    with pytest.raises(ShapeError, match=r"conv2d expects \[B,C,H,W\], got \(6, 5\)"):
+        conv2d(Tensor(np.zeros((6, 5))), k, b, padding=1)
+
+
 # ---------------------------------------------------------------------------
 # im2col, forward and weight gradient against brute-force oracles
 
