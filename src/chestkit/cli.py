@@ -215,7 +215,10 @@ def cmd_pipeline(args) -> int:
         try:
             img = load_image(path.read_bytes())
         except (OSError, PnmError) as exc:
-            summary_lines.append(kvtext.to_text({"file": path.name, "error": str(exc)}, " "))
+            # the class name is one token kvtext reads back; the message is not
+            print(f"skipped {path.name}: {exc}", file=sys.stderr)
+            error = type(exc).__name__
+            summary_lines.append(kvtext.to_text({"file": path.name, "error": error}, " "))
             failures += 1
             continue
         if img.ndim == 3:

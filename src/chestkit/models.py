@@ -152,7 +152,6 @@ class ParamStore:
             raise ValueError("parameter name must be non-empty")
         if name in self._params:
             raise DuplicateNameError(f"duplicate parameter name {name!r}")
-        tensor.name = name
         self._params[name] = tensor
         return tensor
 
@@ -212,7 +211,6 @@ class RecurrentConv:
     def __init__(self, store: ParamStore, prefix: str, c_in: int, c_out: int,
                  kernel: int, steps: int, seed: int, init_gain: float = 1.0):
         self.steps = steps
-        self.pad = kernel // 2
         fwd = he_init((c_out, c_in, kernel, kernel), c_in * kernel * kernel,
                       derive_seed(seed, 1), requires_grad=True)
         fwd.data *= init_gain
@@ -257,7 +255,6 @@ class IRRU:
 
     def __init__(self, cfg: IRRUConfig, store: ParamStore | None = None,
                  prefix: str = "irru", seed: int = 0):
-        self.cfg = cfg
         self.params = store if store is not None else ParamStore()
         counts = _branch_split(cfg.out_channels, IRRU_BRANCH_KERNELS)
         self.branches = [
@@ -336,7 +333,6 @@ class Nabla3:
         self.params = ParamStore(config)
 
         widths = [scaled_width(b, config.width_scale) for b in NABLA_ENCODER_WIDTHS]
-        self.widths = widths
         self.enc = []
         c_in = config.input_shape[0]
         for i, c_out in enumerate(widths, start=1):

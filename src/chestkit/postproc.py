@@ -358,7 +358,6 @@ class PipelineResult:
     infected_mask: np.ndarray
     report: InfectionReport
     heatmap: np.ndarray
-    resized_image: np.ndarray
 
 
 def _model_input_hw(seg_model) -> tuple[int, int]:
@@ -394,4 +393,4 @@ def run_pipeline(image: np.ndarray, seg_model, mode: str = "chest",
     report = infection_percentage(region_mask, infected)
     heatmap = heatmap_overlay(resized, infected)
     return PipelineResult(region_mask=region_mask, infected_mask=infected,
-                          report=report, heatmap=heatmap, resized_image=resized)
+                          report=report, heatmap=heatmap)

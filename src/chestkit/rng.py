@@ -54,10 +54,6 @@ class DetRng:
         self._seed = seed & _MASK
         self._counter = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n

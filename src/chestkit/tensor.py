@@ -5,15 +5,15 @@ float64 numpy array (weights are persisted as float32, but all arithmetic
 runs in double precision so finite-difference gradient checks are
 meaningful), and a :class:`Tape` records every operation executed while it
 is active.  ``tape.backward(loss)`` replays the record in reverse and
-returns gradients for every ``requires_grad`` tensor that contributed to
-the loss.
+returns the gradient of every ``requires_grad`` leaf that contributed to
+the loss; that map is the only place a gradient is kept.
 
-The tape keeps only what backward reads.  A node holds its backward
-closure, which keeps the arrays that op's gradient needs, and its parents
-as keys; it holds its output only if that output ``requires_grad``.  So a
-forward intermediate that no closure saved (a conv's pre-activation, a
-relu output) is freed as soon as the forward drops it, and backward
-releases each node, closure and saved arrays included, once it has run.
+The tape keeps only what backward reads.  A node holds its parents as
+keys and its backward closure, which keeps the arrays that op's gradient
+needs; it never holds its output.  So a forward intermediate that no
+closure saved (a conv's pre-activation, a relu output) is freed as soon
+as the forward drops it, and backward releases each node, closure and
+saved arrays included, once it has run.
 
 Ops take batches: the spatial ops and ``concat_channels`` take
 [B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
@@ -51,17 +51,15 @@ class ShapeError(ValueError):
 class Tensor:
     """n-dimensional float64 array plus autodiff bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "name", "grad", "_tape", "_node")
+    __slots__ = ("data", "requires_grad", "_tape", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.name = name
-        self.grad: np.ndarray | None = None
-        self._tape: object | None = None   # the recording Tape's marker
+        self._tape: object | None = None   # the marker of the Tape that recorded it
         self._node: int | None = None      # index of its node on that tape
 
     @property
@@ -103,26 +101,26 @@ class Tape:
             loss = cross_entropy_loss(probs, labels)
         grads = tape.backward(loss)
 
-    Each recorded op is one node: its backward closure, a key per parent
-    (the parent's node index if it was recorded on this tape, the parent
-    itself if it is a leaf that ``requires_grad``, else None) and its
-    output only if that output ``requires_grad``.  Gradients are buffered
-    by those keys, never by ``id()``: a freed intermediate's id can come
-    back later in the same forward.  ``backward`` sets each node's slot to
-    None as it reaches it, so a closure and the arrays it saved are freed
-    once it has run, while backward goes on; ``len(tape)`` still counts
-    the recorded nodes.
+    Each recorded op is one node: a key per parent (the parent's node
+    index if it was recorded on this tape, the parent itself if it is a
+    leaf that ``requires_grad``, else None) and its backward closure; an
+    op's output never requires grad, so only leaves get a gradient back.
+    Gradients are buffered by those keys, never by ``id()``: a freed
+    intermediate's id can come back later in the same forward.
+    ``backward`` sets each node's slot to None as it reaches it, so a
+    closure and the arrays it saved are freed once it has run, while
+    backward goes on; ``len(tape)`` still counts the recorded nodes.
 
     A tape is single-owner: it must not be shared across threads, and
     ``backward`` may run at most once.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor | None, tuple, Callable] | None] = []
+        self._nodes: list[tuple[tuple, Callable] | None] = []
         self._spent = False
-        # recorded outputs point at this marker, not at the tape: the tape
-        # holds outputs that require grad, so a back-reference would make a
-        # cycle that keeps a spent tape alive until the cyclic collector runs
+        # recorded outputs point at this marker, not at the tape: an output
+        # kept past backward, or saved by a closure, would otherwise keep
+        # the tape alive or close a cycle only the cyclic collector frees
         self._mark = object()
 
     def __enter__(self) -> "Tape":
@@ -145,7 +143,8 @@ class Tape:
         return t if t.requires_grad else None
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Propagate from a scalar loss; returns grads per requires_grad tensor.
+        """Propagate from a scalar loss; returns the grad of each
+        ``requires_grad`` leaf it reaches.
 
         Backward over an empty tape (or a loss neither produced on this
         tape nor requiring grad) is a no-op yielding an empty map; a loss
@@ -161,18 +160,14 @@ class Tape:
         root = self._key(loss)
         buffers: dict[int | Tensor, np.ndarray] = (
             {} if root is None else {root: np.ones_like(loss.data)})
-        result: dict[Tensor, np.ndarray] = {}
 
         nodes = self._nodes
         for index in range(len(nodes) - 1, -1, -1):
-            out, keys, backward_fn = nodes[index]
+            keys, backward_fn = nodes[index]
             nodes[index] = None
             g = buffers.pop(index, None)
             if g is None:
                 continue
-            if out is not None:
-                out.grad = g
-                result[out] = g
             for key, pg in zip(keys, backward_fn(g)):
                 if key is None or pg is None:
                     continue
@@ -180,10 +175,7 @@ class Tape:
                 buffers[key] = pg if held is None else held + pg
 
         # every node index has been popped; what is left are the leaves
-        for t, g in buffers.items():
-            t.grad = g
-            result[t] = g
-        return result
+        return buffers
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -193,7 +185,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable) -> 
         if any(key is not None for key in keys):
             out._tape = tape._mark
             out._node = len(tape._nodes)
-            tape._nodes.append((out if out.requires_grad else None, keys, backward_fn))
+            tape._nodes.append((keys, backward_fn))
     return out
 
 
@@ -527,7 +519,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def he_init(shape: Sequence[int], fan_in: int, seed: int,
-            requires_grad: bool = False, name: str | None = None) -> Tensor:
+            requires_grad: bool = False) -> Tensor:
     """Zero-mean normal draw with std sqrt(2/fan_in), seeded and reproducible."""
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
@@ -535,4 +527,4 @@ def he_init(shape: Sequence[int], fan_in: int, seed: int,
     n = int(np.prod(shape)) if shape else 1
     std = np.sqrt(2.0 / fan_in)
     data = DetRng(seed).normal(n).reshape(shape) * std
-    return Tensor(data, requires_grad=requires_grad, name=name)
+    return Tensor(data, requires_grad=requires_grad)

@@ -464,10 +464,9 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
                         [ds.masks[i][None].astype(np.float64) for i in idx]))
                     loss = dice_loss(out, target)
             grads_by_tensor = tape.backward(loss)
-            grads = {}
-            for name, param in model.params.items():
-                g = grads_by_tensor.get(param)
-                grads[name] = g if g is not None else np.zeros_like(param.data)
+            grads = {name: grads_by_tensor[param] if param in grads_by_tensor
+                     else np.zeros_like(param.data)
+                     for name, param in model.params.items()}
             picked = None
             if cfg.loss == "cross_entropy":
                 picked = out.data[np.arange(len(idx)), labels]
@@ -478,6 +477,7 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
                     f"{start // cfg.batch_size}: {reason}")
             grad_norms += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             adam_step(model.params, grads, state, lr)
+            del grads, grads_by_tensor   # spent: free them before the next forward
             epoch_loss += loss.item()
             if cfg.loss == "cross_entropy":
                 hits += float((out.data.argmax(axis=1) == np.asarray(labels)).sum())

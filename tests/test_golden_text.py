@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chestkit.cli import run
-from chestkit.kvtext import TextFormatError
+from chestkit.kvtext import TextFormatError, from_text
 from chestkit.metrics import MetricsReport, metrics_from_text, metrics_to_text
 from chestkit.models import build_model, save_weights
 from chestkit.postproc import InfectionReport, report_from_text, report_to_text
@@ -110,7 +110,7 @@ def test_report_text_bytes(report, text):
     assert report_to_text(report) == text
 
 
-def test_pipeline_summary_and_report_bytes(tmp_path):
+def test_pipeline_summary_and_report_bytes(tmp_path, capsys):
     # every weight zero and the head bias at +10: every pixel scores
     # sigmoid(10) > 0.5 whatever the BLAS, so the region is the whole image
     model = build_model(get_preset("seg-desk").model)
@@ -131,8 +131,11 @@ def test_pipeline_summary_and_report_bytes(tmp_path):
     assert (out / "summary.txt").read_bytes() == (
         b"file=0000.pgm lung_pixels=4096 infected_pixels=1461 percent=35.66\n"
         b"file=0001.pgm lung_pixels=4096 infected_pixels=1408 percent=34.37\n"
-        b"file=bad.pgm error=payload has 5 bytes, header promises 81\n"
+        b"file=bad.pgm error=PnmTruncatedError\n"
         b"processed=2 failed=1 mean_percent=35.02\n")
+    for line in (out / "summary.txt").read_text().splitlines():
+        from_text(line)
+    assert "bad.pgm: payload has 5 bytes, header promises 81" in capsys.readouterr().err
     assert (out / "0000_report.txt").read_bytes() == (
         b"lung_pixels=4096\ninfected_pixels=1461\npercent=35.66\ndegenerate=false\n")
 

@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from chestkit import training
 from chestkit.models import ModelConfig, ParamStore, build_model, save_weights
 from chestkit.rng import DetRng
 from chestkit.tensor import Tape, Tensor, apply_op
@@ -451,6 +454,32 @@ def test_train_rejects_mismatched_loss():
     model = build_model(TINY_CLS, seed=29)
     with pytest.raises(ValueError):
         train(model, ds, TrainConfig(base_lr=1e-3, batch_size=2, epochs=1, loss="dice"))
+
+
+def test_train_frees_each_steps_gradients_before_the_next_forward(monkeypatch):
+    preset = get_preset("xray-det-desk", epochs=1, batch_size=2)
+    model = build_model(preset.model, seed=36)
+    forward, adam = model.forward, training.adam_step
+    held = []   # weakrefs to the last step's gradient arrays
+
+    def checked_forward(batch):
+        assert all(ref() is None for ref in held), "a gradient outlived its step"
+        return forward(batch)
+
+    def watched_adam(params, grads, state, lr):
+        held[:] = [weakref.ref(g) for g in grads.values()]
+        adam(params, grads, state, lr)
+
+    model.forward = checked_forward
+    monkeypatch.setattr(training, "adam_step", watched_adam)
+    # with the cyclic collector off, an array dies only when nothing holds it
+    gc.disable()
+    try:
+        _, history = train(model, two_class_dataset(4, seed=37), preset.train)
+    finally:
+        gc.enable()
+    assert len(history) == 1 and held
+    assert all(ref() is None for ref in held)
 
 
 # ---------------------------------------------------------------------------
