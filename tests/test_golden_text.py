@@ -5,6 +5,7 @@ The round-trip and substring tests elsewhere would pass under a change of
 field order, separator or number format; these pin the exact text.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -13,9 +14,21 @@ import pytest
 from chestkit.cli import run
 from chestkit.kvtext import TextFormatError, from_text
 from chestkit.metrics import MetricsReport, metrics_from_text, metrics_to_text
+from chestkit.imaging import save_image, save_mask
 from chestkit.models import build_model, save_weights
-from chestkit.postproc import InfectionReport, report_from_text, report_to_text
-from chestkit.synthdata import SynthSpec, load_infection_corpus, write_infection_corpus
+from chestkit.postproc import (
+    InfectionReport,
+    OracleSegmenter,
+    report_from_text,
+    report_to_text,
+    run_pipeline,
+)
+from chestkit.synthdata import (
+    SynthSpec,
+    gen_infection_set,
+    load_infection_corpus,
+    write_infection_corpus,
+)
 from chestkit.training import (
     EpochRecord,
     get_preset,
@@ -138,6 +151,25 @@ def test_pipeline_summary_and_report_bytes(tmp_path, capsys):
     assert "bad.pgm: payload has 5 bytes, header promises 81" in capsys.readouterr().err
     assert (out / "0000_report.txt").read_bytes() == (
         b"lung_pixels=4096\ninfected_pixels=1461\npercent=35.66\ndegenerate=false\n")
+
+
+def test_postprocessing_chain_digest():
+    # the infection corpus and the oracle-driven lung-mode chain over it, at a
+    # desk and at the paper's size: any change to synthesis, morphology,
+    # selection, thresholding or the heatmap moves this digest
+    digest = hashlib.sha256()
+    for spec in (SynthSpec(count=6, size=64, seed=5), SynthSpec(count=6, size=256, seed=6)):
+        for sample in gen_infection_set(spec):
+            result = run_pipeline(sample.image, OracleSegmenter(sample.lung_mask),
+                                  mode="lung")
+            for blob in (save_image(sample.image), save_mask(sample.lung_mask),
+                         save_mask(sample.infected_mask),
+                         report_to_text(sample.report).encode(),
+                         save_mask(result.region_mask), save_mask(result.infected_mask),
+                         save_image(result.heatmap)):
+                digest.update(blob)
+    assert digest.hexdigest() == (
+        "7028b79e248e46411eef5c14e05f79d3fae7a16c1831fd032ae0df6650512dc9")
 
 
 def corrupted_corpus_report(tmp_path, text):
