@@ -32,7 +32,7 @@ print(f"raw mask: {mask.sum()} px; refined: {refined.sum()} px "
 regions = connected_components(refined, connectivity=8)
 print(f"{len(regions)} region(s); largest has {regions[0].pixel_count} px, "
       f"bbox {regions[0].bbox}")
-lung = select_largest(regions, 1)
+lung = select_largest(regions, 1, refined.shape)
 
 # erosion/dilation shrink and grow by the 3x3 box
 print(f"erode: {erode(lung).sum()} px, dilate: {dilate(lung).sum()} px")

@@ -205,6 +205,10 @@ def cmd_pipeline(args) -> int:
         paths = sorted(p for p in base.glob("*.p[gp]m"))
         if not paths:
             raise CliError(EXIT_DATA, f"no .pgm/.ppm images under {base}")
+    for path in paths:
+        if any(ch.isspace() for ch in path.name):
+            raise CliError(EXIT_DATA, f"file name {path.name!r} holds whitespace, "
+                                      "which summary.txt cannot record")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,9 +227,8 @@ def cmd_pipeline(args) -> int:
             continue
         if img.ndim == 3:
             img = to_grayscale(img)
-        result = run_pipeline(img, model, mode=args.mode,
-                              threshold=args.threshold, window=args.window,
-                              offset=args.offset, regions_k=args.regions_k)
+        result = run_pipeline(img, model, mode=args.mode, threshold=args.threshold,
+                              window=args.window, offset=args.offset)
         stem = path.stem
         (out / f"{stem}_region.pgm").write_bytes(save_mask(result.region_mask))
         (out / f"{stem}_infected.pgm").write_bytes(save_mask(result.infected_mask))
@@ -248,12 +251,15 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_trained(args.weights)
     segmenter = model.config.architecture == "nabla3"
     ds = _resize_dataset(_load_dataset(args.dataset, segmenter, args.part),
                          model.config.input_shape)
+    if not segmenter and ds.num_classes != model.config.num_classes:
+        raise CliError(EXIT_DATA, f"{args.part}/ of {args.dataset} holds {ds.num_classes} "
+                                  f"class(es); the weights score {model.config.num_classes}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if segmenter:
         report = evaluate_segmenter(model, ds, threshold=args.threshold)
     else:
@@ -314,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--threshold", type=float, default=0.5)
     pl.add_argument("--window", type=int, default=15)
     pl.add_argument("--offset", type=float, default=5.0)
-    pl.add_argument("--regions-k", type=int, default=None)
     pl.set_defaults(func=cmd_pipeline)
 
     ev = sub.add_parser(

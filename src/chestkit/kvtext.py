@@ -10,12 +10,19 @@ from __future__ import annotations
 
 
 class TextFormatError(ValueError):
-    """A token without ``=``, an empty or repeated key, or a missing or
-    unparsable required field."""
+    """A token without ``=``, an empty or repeated key, a missing or
+    unparsable required field, or a record ``to_text`` cannot write."""
 
 
 def to_text(fields: dict[str, str], sep: str = "\n") -> str:
-    return sep.join(f"{key}={value}" for key, value in fields.items()) + "\n"
+    """Raises :class:`TextFormatError` for a record ``from_text`` could not
+    read back: an empty key, a key holding ``=``, or whitespace in a key or
+    value."""
+    tokens = [f"{key}={value}" for key, value in fields.items()]
+    for key, token in zip(fields, tokens):
+        if not key or "=" in key or token.split() != [token]:
+            raise TextFormatError(f"cannot write {token!r}: from_text would not read it back")
+    return sep.join(tokens) + "\n"
 
 
 def from_text(text: str) -> dict[str, str]:

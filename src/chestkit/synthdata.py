@@ -54,6 +54,7 @@ INFECTION_GT_INSET = 3                        # lung ground truth sits this many
                                               # a near-miss predicted mask still
                                               # windows only flat lung interior and
                                               # the mean+offset rule sees no edge
+TRAIN_FRACTION = 0.8                          # on-disk classification corpus split
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,7 @@ def _disk(size: int, cy: int, cx: int, radius: int) -> np.ndarray:
 
 def _place_blob(lung: np.ndarray, rng: DetRng, radius: int) -> np.ndarray | None:
     """Pick a blob center at least radius + 3 pixels inside the lung."""
-    margin = radius + 3
-    se = np.ones((2 * margin + 1, 2 * margin + 1), dtype=bool)
-    candidates = np.flatnonzero(erode(lung, se))
+    candidates = np.flatnonzero(erode(lung, radius + 3))
     if candidates.size == 0:
         return None
     pick = candidates[int(rng.integers(1, candidates.size)[0])]
@@ -247,13 +246,12 @@ def gen_infection_set(spec: SynthSpec) -> list[InfectionSample]:
     is their erosion by INFECTION_GT_INSET, refined to a close/open
     fixpoint, so the mask boundary lies in flat interior texture.
     """
-    inset_se = np.ones((2 * INFECTION_GT_INSET + 1,) * 2, dtype=bool)
     samples: list[InfectionSample] = []
     for i in range(spec.count):
         rng = DetRng(derive_seed(spec.seed, 303, i))
         visible = rasterize_lungs(sample_lung_geometry(spec.size, rng, wide=True),
                                   spec.size)
-        lungs = _refinement_fixpoint(erode(visible, inset_se))
+        lungs = _refinement_fixpoint(erode(visible, INFECTION_GT_INSET))
         regions = connected_components(lungs, 8)
         if len(regions) != 2:
             raise RuntimeError("lung construction must yield exactly two regions")
@@ -323,12 +321,12 @@ def _manifest_text(kind: str, spec: SynthSpec, extra: dict[str, str]) -> str:
                            **extra})
 
 
-def write_classification_corpus(root, spec: SynthSpec,
-                                train_fraction: float = 0.8) -> None:
-    """Generate and lay out root/{train,test}/{class_name}/NNNN.pgm."""
+def write_classification_corpus(root, spec: SynthSpec) -> None:
+    """Generate and lay out root/{train,test}/{class_name}/NNNN.pgm, with
+    TRAIN_FRACTION of each class under train/."""
     root = Path(root)
     ds = gen_classification_set(spec)
-    train_ds, test_ds = split_dataset(ds, train_fraction, seed=spec.seed)
+    train_ds, test_ds = split_dataset(ds, TRAIN_FRACTION, seed=spec.seed)
     counts: dict[str, str] = {}
     for part, part_ds in (("train", train_ds), ("test", test_ds)):
         for cls, name in enumerate(part_ds.class_names):

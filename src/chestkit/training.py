@@ -8,11 +8,11 @@ only in ``balance_classes``, which tops up the minority classes with
 augmented copies (seeded the same way) before training starts.
 
 Fixed constants (the source material names the methods but not the
-numbers): Adam uses beta1 0.9, beta2 0.999, eps 1e-8; cross-entropy clamps
-probabilities at 1e-12; the Dice loss carries a smoothing term of 1;
-augmentation is horizontal flip (p = 0.5), rotation within +/-10 degrees,
-and shift within +/-5% of the image size, all nearest-neighbor resampled
-with zero fill.
+numbers): the learning rate falls 10x every 25 epochs; Adam uses beta1
+0.9, beta2 0.999, eps 1e-8; cross-entropy clamps probabilities at 1e-12;
+the Dice loss carries a smoothing term of 1; augmentation is horizontal
+flip (p = 0.5), rotation within +/-10 degrees, and shift within +/-5% of
+the image size, all nearest-neighbor resampled with zero fill.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ SHIFT_LIMIT_FRAC = 0.05
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR_DECAY_EVERY = 25
+LR_DECAY_FACTOR = 10.0
 
 
 class TrainingDivergedError(RuntimeError):
@@ -49,16 +51,12 @@ class TrainConfig:
     base_lr: float
     batch_size: int
     epochs: int
-    lr_decay_every: int = 25
-    lr_decay_factor: float = 10.0
     loss: str = "cross_entropy"          # "cross_entropy" | "dice"
     seed: int = 0
 
     def __post_init__(self):
         if self.base_lr <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate and batch size must be positive, epochs >= 0")
-        if self.lr_decay_every < 1 or self.lr_decay_factor <= 1.0:
-            raise ValueError("decay interval must be >= 1 and factor > 1")
         if self.loss not in ("cross_entropy", "dice"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -213,10 +211,10 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray],
 
 
 def lr_schedule(cfg: TrainConfig, epoch: int) -> float:
-    """Step decay: base / factor^(epoch // every)."""
+    """Step decay: base / LR_DECAY_FACTOR^(epoch // LR_DECAY_EVERY)."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    return cfg.base_lr / cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+    return cfg.base_lr / LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +273,17 @@ def shift_image(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def augment(image: np.ndarray, mask: np.ndarray | None = None,
-            seed: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """Seeded flip/rotate/shift; the mask gets the identical transform."""
-    if mask is not None and mask.shape != image.shape:
-        raise ValueError("mask size differs from image")
+def augment(image: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Seeded flip/rotate/shift."""
     rng = DetRng(seed)
     do_flip = rng.random(1)[0] < 0.5
     angle = rng.uniform(-ROTATION_LIMIT_DEG, ROTATION_LIMIT_DEG, 1)[0]
     h, w = image.shape[:2]
     dy = int(round(rng.uniform(-SHIFT_LIMIT_FRAC, SHIFT_LIMIT_FRAC, 1)[0] * h))
     dx = int(round(rng.uniform(-SHIFT_LIMIT_FRAC, SHIFT_LIMIT_FRAC, 1)[0] * w))
-
-    def apply(arr):
-        if do_flip:
-            arr = flip_horizontal(arr)
-        arr = rotate_nearest(arr, angle)
-        return shift_image(arr, dy, dx)
-
-    return apply(image), (None if mask is None else apply(mask))
+    if do_flip:
+        image = flip_horizontal(image)
+    return shift_image(rotate_nearest(image, angle), dy, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +306,7 @@ def balance_classes(ds: LabeledDataset, seed: int = 0) -> LabeledDataset:
     for cls, members in enumerate(by_class):
         for j in range(target - counts[cls]):
             src = members[j % len(members)]
-            img, _ = augment(ds.images[src], seed=derive_seed(seed, cls, j))
-            images.append(img)
+            images.append(augment(ds.images[src], seed=derive_seed(seed, cls, j)))
             labels.append(cls)
     return LabeledDataset(images=images, labels=labels, class_names=ds.class_names)
 
@@ -584,5 +573,5 @@ def preset_to_text(preset: Preset) -> str:
     return kvtext.to_text({
         "preset": preset.name, **model_config_fields(m), "base_lr": f"{t.base_lr:.10g}",
         "batch_size": str(t.batch_size), "epochs": str(t.epochs),
-        "lr_decay_every": str(t.lr_decay_every),
-        "lr_decay_factor": f"{t.lr_decay_factor:.10g}", "loss": t.loss, "seed": str(t.seed)})
+        "lr_decay_every": str(LR_DECAY_EVERY),
+        "lr_decay_factor": f"{LR_DECAY_FACTOR:.10g}", "loss": t.loss, "seed": str(t.seed)})

@@ -1,11 +1,15 @@
+import argparse
 import io
+import re
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chestkit import kvtext
-from chestkit.cli import run
+from chestkit.cli import build_parser, run
 from chestkit.imaging import load_image, load_mask
 from chestkit.models import ModelConfig, build_model, load_weights, save_weights
 from chestkit.postproc import report_from_text
@@ -324,6 +328,22 @@ def test_pipeline_bad_file_recorded_but_not_fatal(tmp_path, seg_weights):
     assert "processed=1 failed=1" in summary
 
 
+def test_pipeline_file_name_with_whitespace_is_data_error(tmp_path, seg_weights, capsys):
+    # summary.txt could not record the name, so nothing is written
+    weights, data_root = seg_weights
+    spaced = tmp_path / "spaced"
+    spaced.mkdir()
+    good = (data_root / "images" / "0000.pgm").read_bytes()
+    for name in ("a.pgm", "my scan.pgm", "z.pgm"):
+        (spaced / name).write_bytes(good)
+    out = tmp_path / "o"
+    code = run(["pipeline", "--weights", str(weights), "--dataset", str(spaced),
+                "--out", str(out)])
+    assert code == 3
+    assert "'my scan.pgm'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_requires_exactly_one_input(tmp_path, seg_weights):
     weights, data_root = seg_weights
     code = run(["pipeline", "--weights", str(weights), "--out", str(tmp_path / "o")])
@@ -385,6 +405,24 @@ def test_eval_scores_the_saved_recurrence_depth(tmp_path):
     assert (tmp_path / "e" / "metrics.txt").read_text() == metrics_to_text(expected)
 
 
+@pytest.mark.parametrize("change, counts", [
+    (lambda part: shutil.rmtree(part / "normal"), "1 class(es); the weights score 2"),
+    (lambda part: shutil.copytree(part / "normal", part / "other"),
+     "3 class(es); the weights score 2"),
+], ids=["missing-class", "extra-class"])
+def test_eval_class_count_mismatch_is_data_error(tmp_path, capsys, change, counts):
+    data = gen(tmp_path)
+    change(data / "test")
+    weights = tmp_path / "cls.cmtw"
+    weights.write_bytes(DESK_CLS_FILE)
+    out = tmp_path / "e"
+    code = run(["eval", "--dataset", str(data), "--weights", str(weights),
+                "--out", str(out)])
+    assert code == 3
+    assert counts in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_labels_is_data_error(tmp_path):
     # segmenter weights pick a segmentation corpus; this one has no masks
     data = gen(tmp_path)
@@ -420,3 +458,20 @@ def test_eval_malformed_weights_is_model_error(tmp_path, command, payload):
     code = run([command, "--dataset", str(data),
                 "--weights", str(bad), "--out", str(tmp_path / "e")])
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# docs
+
+
+def test_every_flag_the_readme_names_exists():
+    # the CI walkthrough runs only the fenced commands; this covers the prose
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    known = {option for sub in subparsers.choices.values()
+             for action in sub._actions for option in action.option_strings}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named, "README names no flags"
+    assert named <= known, sorted(named - known)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from chestkit.cli import run
-from chestkit.kvtext import TextFormatError, from_text
+from chestkit.kvtext import TextFormatError, from_text, to_text
 from chestkit.metrics import MetricsReport, metrics_from_text, metrics_to_text
 from chestkit.imaging import save_image, save_mask
 from chestkit.models import build_model, save_weights
@@ -210,3 +210,22 @@ READERS = {
 def test_malformed_text_raises_typed_error_naming_it(tmp_path, reader, text, named):
     with pytest.raises(TextFormatError, match=re.escape(named)):
         READERS[reader](tmp_path, text)
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"": "1"}, "'=1'"),
+    ({"a=b": "1"}, "'a=b=1'"),
+    ({"file": "my scan.pgm"}, "'file=my scan.pgm'"),
+    ({"file": "tab\tname"}, "'file=tab\\tname'"),
+    ({"two words": "1"}, "'two words=1'"),
+    ({"note": ""}, None),
+    ({"eq": "a=b"}, None),
+], ids=["empty-key", "key-with-equals", "space-in-value", "tab-in-value",
+        "space-in-key", "empty-value", "equals-in-value"])
+@pytest.mark.parametrize("sep", ["\n", " "], ids=["lines", "one-line"])
+def test_writer_refuses_what_the_reader_cannot_read_back(fields, named, sep):
+    if named is None:
+        assert from_text(to_text(fields, sep)) == fields
+    else:
+        with pytest.raises(TextFormatError, match=re.escape(named)):
+            to_text({"first": "1", **fields}, sep)

@@ -11,6 +11,8 @@ from chestkit.rng import DetRng
 from chestkit.tensor import Tape, Tensor, apply_op
 from chestkit.training import (
     CROSS_ENTROPY_CLAMP,
+    LR_DECAY_EVERY,
+    LR_DECAY_FACTOR,
     AdamState,
     LabeledDataset,
     TrainConfig,
@@ -209,10 +211,10 @@ def test_lr_schedule_floor_boundary():
 
 
 def test_lr_schedule_non_increasing():
-    cfg = TrainConfig(base_lr=1e-2, batch_size=8, epochs=60,
-                      lr_decay_every=7, lr_decay_factor=3.0)
-    values = [lr_schedule(cfg, e) for e in range(60)]
+    cfg = TrainConfig(base_lr=1e-2, batch_size=8, epochs=60)
+    values = [lr_schedule(cfg, e) for e in range(3 * LR_DECAY_EVERY)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+    assert values[-1] == 1e-2 / LR_DECAY_FACTOR ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +239,9 @@ def test_minmax_simple_triple():
 
 def test_augment_deterministic_per_seed():
     img = gray(5)
-    mask = img > 128
-    a1, m1 = augment(img, mask, seed=42)
-    a2, m2 = augment(img, mask, seed=42)
-    assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
-    a3, _ = augment(img, mask, seed=43)
-    assert not np.array_equal(a1, a3)
+    a1 = augment(img, seed=42)
+    assert np.array_equal(a1, augment(img, seed=42))
+    assert not np.array_equal(a1, augment(img, seed=43))
 
 
 def test_flip_is_involution():
@@ -257,14 +256,6 @@ def test_rotation_preserves_convex_blob_area():
     for angle in (-10.0, -5.0, 5.0, 10.0):
         rotated = rotate_nearest(ellipse.astype(np.uint8), angle)
         assert abs(int(rotated.sum()) - area) <= 0.05 * area
-
-
-def test_augment_mask_gets_identical_geometry():
-    img = np.zeros((32, 32), dtype=np.uint8)
-    img[10:20, 12:22] = 200
-    mask = img > 0
-    out_img, out_mask = augment(img, mask, seed=9)
-    assert np.array_equal(out_mask, out_img > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +563,8 @@ def test_preset_xray_det_matches_published_hyperparameters():
     assert preset.train.base_lr == 1e-3
     assert preset.train.batch_size == 32
     assert preset.train.epochs == 75
-    assert preset.train.lr_decay_every == 25
-    assert preset.train.lr_decay_factor == 10.0
+    assert LR_DECAY_EVERY == 25
+    assert LR_DECAY_FACTOR == 10.0
     assert preset.model.input_shape == (1, 128, 128)
 
 
