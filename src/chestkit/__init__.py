@@ -22,7 +22,6 @@ from .metrics import (
 )
 from .models import (
     IRRU,
-    IRRUConfig,
     ModelConfig,
     ParamStore,
     build_model,

@@ -25,7 +25,13 @@ from .models import (
     load_weights,
     save_weights,
 )
-from .postproc import report_to_text, run_pipeline
+from .postproc import (
+    DEFAULT_OFFSET,
+    DEFAULT_THRESHOLD,
+    DEFAULT_WINDOW,
+    report_to_text,
+    run_pipeline,
+)
 from .synthdata import (
     SynthSpec,
     load_classification_corpus,
@@ -144,8 +150,7 @@ def cmd_gen_data(args) -> int:
                          class_ratio=_parse_ratio(args.imbalance))
     except ValueError as exc:
         raise CliError(EXIT_ARGS, str(exc)) from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)   # the writers make it once the corpus is generated
     try:
         if args.kind == "classification":
             write_classification_corpus(out, spec)
@@ -210,8 +215,7 @@ def cmd_pipeline(args) -> int:
             raise CliError(EXIT_DATA, f"file name {path.name!r} holds whitespace, "
                                       "which summary.txt cannot record")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)   # made once an image decodes
     summary_lines = []
     percents = []
     failures = 0
@@ -225,6 +229,7 @@ def cmd_pipeline(args) -> int:
             summary_lines.append(kvtext.to_text({"file": path.name, "error": error}, " "))
             failures += 1
             continue
+        out.mkdir(parents=True, exist_ok=True)
         if img.ndim == 3:
             img = to_grayscale(img)
         result = run_pipeline(img, model, mode=args.mode, threshold=args.threshold,
@@ -317,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--dataset", default=None)
     pl.add_argument("--out", required=True)
     pl.add_argument("--mode", choices=("chest", "lung"), default="chest")
-    pl.add_argument("--threshold", type=float, default=0.5)
-    pl.add_argument("--window", type=int, default=15)
-    pl.add_argument("--offset", type=float, default=5.0)
+    pl.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    pl.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    pl.add_argument("--offset", type=float, default=DEFAULT_OFFSET)
     pl.set_defaults(func=cmd_pipeline)
 
     ev = sub.add_parser(
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--weights", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--part", choices=("train", "test"), default="test")
-    ev.add_argument("--threshold", type=float, default=0.5)
+    ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     ev.set_defaults(func=cmd_eval)
 
     return parser

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kvtext
+from .postproc import DEFAULT_THRESHOLD
 from .training import to_batch
 
 SCORES = ("accuracy", "precision", "recall", "f1", "iou", "dice", "auc")
@@ -196,7 +197,7 @@ def evaluate_classifier(model, ds, positive_class: int = 1,
                          degenerate=prf.degenerate)
 
 
-def evaluate_segmenter(model, ds, threshold: float = 0.5,
+def evaluate_segmenter(model, ds, threshold: float = DEFAULT_THRESHOLD,
                        batch_size: int = 8) -> MetricsReport:
     """Pixelwise accuracy and F1 plus per-sample mean IoU and Dice."""
     if len(ds) == 0:

@@ -13,11 +13,11 @@ them open):
   the response ``t`` times through a shared recurrent kernel:
   ``z0 = conv(x, Wf)``, ``zk = relu(conv(x, Wf) + conv(z(k-1), Wr))``.
   ``t = 0`` degenerates to ``relu(conv(x, Wf))``.  Default ``t = 2``.
-* A classifier unit runs one recurrent convolution per branch kernel
-  (1x1 and 3x3, ``IRRU_BRANCH_KERNELS``; channels split as evenly as
-  possible with the remainder on the largest kernel), concatenates the
-  branches, and adds the input back, projected through a 1x1
-  convolution when the channel counts differ.
+* A classifier unit (:class:`IRRU`) runs :func:`recurrent_conv` once per
+  branch kernel (1x1 and 3x3, ``IRRU_BRANCH_KERNELS``; channels split as
+  evenly as possible with the remainder on the largest kernel),
+  concatenates the branches, and adds the input back, projected through
+  a 1x1 convolution when the channel counts differ.
 * The classifier stacks five such units with 2x2 max-pooling in between,
   then global average pooling, a fully-connected layer, and softmax.
   Per-unit widths at width_scale 1 are 64, 128, 256, 512, 1024.
@@ -27,7 +27,8 @@ them open):
   each path alternates nearest 2x upsampling with a 3x3 convolution down
   the width sequence until full resolution.  The three full-resolution
   maps are concatenated and reduced by a 1x1 convolution with sigmoid.
-* Kernels use He initialization; biases start at zero.
+* Every layer is made by :func:`init_layer`: a He-initialized kernel
+  whose fan-in comes from its shape, and a zero bias.
 """
 
 from __future__ import annotations
@@ -65,23 +66,6 @@ POOL_STAGES = 5  # both nets shrink by 2**5, so inputs must divide by 32
 
 
 @dataclass(frozen=True)
-class IRRUConfig:
-    in_channels: int
-    out_channels: int
-    recurrence_steps: int = 2
-
-    def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
-        if self.recurrence_steps < 0:
-            raise ValueError("recurrence_steps must be >= 0")
-        if self.out_channels < len(IRRU_BRANCH_KERNELS):
-            raise ValueError(
-                f"cannot split {self.out_channels} channels over "
-                f"{len(IRRU_BRANCH_KERNELS)} branches")
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     architecture: str              # "irrcnn" | "nabla3"
     input_shape: tuple[int, int, int]
@@ -110,6 +94,8 @@ class ModelConfig:
                              "10 significant digits")
         if self.architecture == "irrcnn" and (self.num_classes or 0) < 2:
             raise ValueError("irrcnn needs num_classes >= 2")
+        if self.recurrence_steps < 0:
+            raise ValueError("recurrence_steps must be >= 0")
 
 
 def model_config_fields(config: ModelConfig) -> dict[str, str]:
@@ -178,6 +164,22 @@ class ParamStore:
 # building blocks
 
 
+def init_layer(store: ParamStore, prefix: str, shape: tuple[int, ...], seed: int,
+               gain: float = 1.0) -> tuple[Tensor, Tensor]:
+    """Register ``prefix.weight``, a He draw scaled by ``gain``, and a zero
+    ``prefix.bias`` in ``store``; return both.
+
+    ``shape`` is ``[F, K]`` for a dense layer (fan-in F, K outputs) or
+    ``[C_out, C_in, kH, kW]`` for a convolution (fan-in C_in*kH*kW).
+    """
+    is_dense = len(shape) == 2
+    weight = he_init(shape, shape[0] if is_dense else math.prod(shape[1:]), seed,
+                     requires_grad=True)
+    weight.data *= gain
+    bias = Tensor(np.zeros(shape[1] if is_dense else shape[0]), requires_grad=True)
+    return store.add(f"{prefix}.weight", weight), store.add(f"{prefix}.bias", bias)
+
+
 def recurrent_conv(x: Tensor, forward_kernel: Tensor, forward_bias: Tensor,
                    recurrent_kernel: Tensor, recurrent_bias: Tensor,
                    t: int) -> Tensor:
@@ -205,30 +207,6 @@ def recurrent_conv(x: Tensor, forward_kernel: Tensor, forward_bias: Tensor,
     return z
 
 
-class RecurrentConv:
-    """Forward conv refined ``steps`` times through a recurrent kernel."""
-
-    def __init__(self, store: ParamStore, prefix: str, c_in: int, c_out: int,
-                 kernel: int, steps: int, seed: int, init_gain: float = 1.0):
-        self.steps = steps
-        fwd = he_init((c_out, c_in, kernel, kernel), c_in * kernel * kernel,
-                      derive_seed(seed, 1), requires_grad=True)
-        fwd.data *= init_gain
-        self.fwd_w = store.add(f"{prefix}.fwd.weight", fwd)
-        self.fwd_b = store.add(f"{prefix}.fwd.bias",
-                               Tensor(np.zeros(c_out), requires_grad=True))
-        rec = he_init((c_out, c_out, kernel, kernel), c_out * kernel * kernel,
-                      derive_seed(seed, 2), requires_grad=True)
-        rec.data *= init_gain
-        self.rec_w = store.add(f"{prefix}.rec.weight", rec)
-        self.rec_b = store.add(f"{prefix}.rec.bias",
-                               Tensor(np.zeros(c_out), requires_grad=True))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return recurrent_conv(x, self.fwd_w, self.fwd_b,
-                              self.rec_w, self.rec_b, self.steps)
-
-
 def _branch_split(out_channels: int, kernels: tuple[int, ...]) -> list[int]:
     # as even as possible; remainder goes to the largest kernel
     n = len(kernels)
@@ -253,35 +231,26 @@ class IRRU:
 
     INIT_GAIN = 0.5
 
-    def __init__(self, cfg: IRRUConfig, store: ParamStore | None = None,
-                 prefix: str = "irru", seed: int = 0):
-        self.params = store if store is not None else ParamStore()
-        counts = _branch_split(cfg.out_channels, IRRU_BRANCH_KERNELS)
-        self.branches = [
-            RecurrentConv(self.params, f"{prefix}.br{k}", cfg.in_channels, c,
-                          k, cfg.recurrence_steps, derive_seed(seed, 10 + i),
-                          init_gain=self.INIT_GAIN)
-            for i, (k, c) in enumerate(zip(IRRU_BRANCH_KERNELS, counts))
-        ]
-        if cfg.in_channels != cfg.out_channels:
-            proj = he_init((cfg.out_channels, cfg.in_channels, 1, 1),
-                           cfg.in_channels, derive_seed(seed, 99),
-                           requires_grad=True)
-            proj.data *= self.INIT_GAIN
-            self.proj_w = self.params.add(f"{prefix}.proj.weight", proj)
-            self.proj_b = self.params.add(f"{prefix}.proj.bias", Tensor(
-                np.zeros(cfg.out_channels), requires_grad=True))
-        else:
-            self.proj_w = None
-            self.proj_b = None
+    def __init__(self, store: ParamStore, prefix: str, c_in: int, c_out: int,
+                 steps: int, seed: int):
+        self.steps = steps
+        # one (fwd_w, fwd_b, rec_w, rec_b) per branch kernel
+        self.branches = []
+        counts = _branch_split(c_out, IRRU_BRANCH_KERNELS)
+        for i, (k, c) in enumerate(zip(IRRU_BRANCH_KERNELS, counts)):
+            branch_seed = derive_seed(seed, 10 + i)
+            self.branches.append(
+                init_layer(store, f"{prefix}.br{k}.fwd", (c, c_in, k, k),
+                           derive_seed(branch_seed, 1), self.INIT_GAIN)
+                + init_layer(store, f"{prefix}.br{k}.rec", (c, c, k, k),
+                             derive_seed(branch_seed, 2), self.INIT_GAIN))
+        self.proj = None if c_in == c_out else init_layer(
+            store, f"{prefix}.proj", (c_out, c_in, 1, 1), derive_seed(seed, 99),
+            self.INIT_GAIN)
 
     def forward(self, x: Tensor) -> Tensor:
-        cat = concat_channels([br.forward(x) for br in self.branches])
-        if self.proj_w is None:
-            residual = x
-        else:
-            residual = conv2d(x, self.proj_w, self.proj_b)
-        return add(cat, residual)
+        cat = concat_channels([recurrent_conv(x, *br, self.steps) for br in self.branches])
+        return add(cat, x if self.proj is None else conv2d(x, *self.proj))
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +272,18 @@ class Irrcnn:
         self.units = []
         c_in = config.input_shape[0]
         for i, c_out in enumerate(widths, start=1):
-            unit = IRRU(IRRUConfig(c_in, c_out, config.recurrence_steps),
-                        store=self.params, prefix=f"unit{i}",
-                        seed=derive_seed(seed, i))
-            self.units.append(unit)
+            self.units.append(IRRU(self.params, f"unit{i}", c_in, c_out,
+                                   config.recurrence_steps, derive_seed(seed, i)))
             c_in = c_out
-        k = config.num_classes
-        self.fc_w = self.params.add("fc.weight", he_init(
-            (c_in, k), c_in, derive_seed(seed, 1000), requires_grad=True))
-        self.fc_b = self.params.add("fc.bias", Tensor(np.zeros(k), requires_grad=True))
+        self.fc = init_layer(self.params, "fc", (c_in, config.num_classes),
+                             derive_seed(seed, 1000))
 
     def forward(self, batch: Tensor) -> Tensor:
         _check_batch_shape(batch, self.config.input_shape, "irrcnn")
         h = batch
         for unit in self.units:
             h = max_pool2d(unit.forward(h))
-        return softmax(dense(global_avg_pool(h), self.fc_w, self.fc_b))
+        return softmax(dense(global_avg_pool(h), *self.fc))
 
 
 class Nabla3:
@@ -336,11 +301,8 @@ class Nabla3:
         self.enc = []
         c_in = config.input_shape[0]
         for i, c_out in enumerate(widths, start=1):
-            wt = self.params.add(f"enc{i}.weight", he_init(
-                (c_out, c_in, 3, 3), c_in * 9, derive_seed(seed, i),
-                requires_grad=True))
-            bt = self.params.add(f"enc{i}.bias", Tensor(np.zeros(c_out), requires_grad=True))
-            self.enc.append((wt, bt))
+            self.enc.append(init_layer(self.params, f"enc{i}", (c_out, c_in, 3, 3),
+                                       derive_seed(seed, i)))
             c_in = c_out
 
         # decoder paths start at the bottleneck (stage 6) and stages 5 and 4;
@@ -350,19 +312,13 @@ class Nabla3:
             steps = []
             c_prev = widths[start_stage - 1]
             for j, c_out in enumerate(reversed(widths[:start_stage - 1]), start=1):
-                wt = self.params.add(f"dec{d}.step{j}.weight", he_init(
-                    (c_out, c_prev, 3, 3), c_prev * 9,
-                    derive_seed(seed, 100 * d + j), requires_grad=True))
-                bt = self.params.add(f"dec{d}.step{j}.bias",
-                                     Tensor(np.zeros(c_out), requires_grad=True))
-                steps.append((wt, bt))
+                steps.append(init_layer(self.params, f"dec{d}.step{j}", (c_out, c_prev, 3, 3),
+                                        derive_seed(seed, 100 * d + j)))
                 c_prev = c_out
             self.decoders.append((start_stage, steps))
 
-        self.head_w = self.params.add("head.weight", he_init(
-            (1, 3 * widths[0], 1, 1), 3 * widths[0], derive_seed(seed, 9000),
-            requires_grad=True))
-        self.head_b = self.params.add("head.bias", Tensor(np.zeros(1), requires_grad=True))
+        self.head = init_layer(self.params, "head", (1, 3 * widths[0], 1, 1),
+                               derive_seed(seed, 9000))
 
     def forward(self, batch: Tensor) -> Tensor:
         _check_batch_shape(batch, self.config.input_shape, "nabla3")
@@ -381,7 +337,7 @@ class Nabla3:
                 z = relu(conv2d(upsample2x(z), wt, bt, padding=1))
             maps.append(z)
         fused = concat_channels(maps)
-        return sigmoid(conv2d(fused, self.head_w, self.head_b))
+        return sigmoid(conv2d(fused, *self.head))
 
 
 ModelGraph = Irrcnn | Nabla3

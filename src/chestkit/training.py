@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kvtext
-from .models import ModelConfig, ParamStore, copy_params, model_config_fields
+from .models import ModelConfig, ParamStore, copy_params, init_layer, model_config_fields
 from .rng import DetRng, derive_seed
-from .tensor import ShapeError, Tape, Tensor, apply_op, he_init
+from .tensor import ShapeError, Tape, Tensor, apply_op
 
 CROSS_ENTROPY_CLAMP = 1e-12
 DICE_SMOOTHING = 1.0
@@ -348,15 +348,10 @@ def transfer_init(model, pretrained: ParamStore, reinit_head: bool = True,
                 [name for name in model.params.names() if name not in head],
                 "donor store is missing parameter", "donor")
     if reinit_head:
-        for i, name in enumerate(model.head_names):
-            param = model.params[name]
-            if name.endswith("bias"):
-                param.data = np.zeros_like(param.data)
-            else:
-                fan_in = param.shape[0] if param.ndim == 2 else int(
-                    np.prod(param.shape[1:]))
-                param.data = he_init(param.shape, fan_in,
-                                     derive_seed(seed, 5000 + i)).data
+        fresh = init_layer(ParamStore(), "head", model.params[model.head_names[0]].shape,
+                           derive_seed(seed, 5000))
+        for name, drawn in zip(model.head_names, fresh):
+            model.params[name].data = drawn.data
     else:
         copy_params(model.params, pretrained, model.head_names,
                     "donor store is missing head parameter", "donor")

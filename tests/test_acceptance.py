@@ -152,16 +152,13 @@ def test_acceptance_gradient_correctness():
                     f"{name} trial {trial}")
 
     # end-to-end: two stacked classifier units through the softmax loss
-    from chestkit.models import IRRU, IRRUConfig, ParamStore
+    from chestkit.models import IRRU, ParamStore, init_layer
     from chestkit.tensor import dense, global_avg_pool, max_pool2d, softmax
 
     store = ParamStore()
-    unit1 = IRRU(IRRUConfig(1, 4), store=store, prefix="u1", seed=21)
-    unit2 = IRRU(IRRUConfig(4, 8), store=store, prefix="u2", seed=22)
-    from chestkit.tensor import he_init
-
-    fc_w = store.add("fc.weight", he_init((8, 2), 8, 23, requires_grad=True))
-    fc_b = store.add("fc.bias", Tensor(np.zeros(2), requires_grad=True))
+    unit1 = IRRU(store, "u1", 1, 4, steps=2, seed=21)
+    unit2 = IRRU(store, "u2", 4, 8, steps=2, seed=22)
+    fc_w, fc_b = init_layer(store, "fc", (8, 2), 23)
     x_cls = Tensor(DetRng(24).random(2 * 1 * 8 * 8).reshape(2, 1, 8, 8))
 
     class TwoUnitModel:

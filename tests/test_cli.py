@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import re
 import shutil
@@ -362,6 +363,17 @@ def test_pipeline_bad_weights_is_model_error(tmp_path, seg_weights):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["pipeline", "--weights", "seg.cmtw", "--image", "missing.pgm"], 3),
+    (["gen-data", "--kind", "classification", "--count", "5"], 2),
+], ids=["pipeline-no-input-loads", "gen-data-count-off-ratio"])
+def test_failed_command_leaves_no_out(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seg.cmtw").write_bytes(model_file(get_preset("seg-desk").model))
+    assert run(argv + ["--out", "o"]) == code
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -443,6 +455,8 @@ def test_eval_missing_labels_is_data_error(tmp_path):
     ("eval", with_config(DESK_CLS_FILE, architecture="resnet")),
     ("eval", with_config(DESK_CLS_FILE, input_shape="1x30x30")),
     ("eval", with_config(DESK_CLS_FILE, recurrence_steps=None)),
+    ("eval", with_config(model_file(get_preset("seg-desk").model),
+                         recurrence_steps="-1")),
     ("eval", three_channel_file()),
     # the same widths as 0.125, but .10g writes it as 0.125
     ("eval", with_config(DESK_CLS_FILE, width_scale="0.1249999999999999")),
@@ -450,7 +464,8 @@ def test_eval_missing_labels_is_data_error(tmp_path):
     ("eval", as_v1(DESK_CLS_FILE)),
 ], ids=["overflowing-dims", "non-utf8-name", "zero-size", "nan", "duplicate-name",
         "unknown-architecture", "indivisible-input", "missing-recurrence-steps",
-        "three-channels", "width-scale-past-10-digits", "pipeline-on-classifier", "v1-file"])
+        "negative-recurrence-steps", "three-channels", "width-scale-past-10-digits",
+        "pipeline-on-classifier", "v1-file"])
 def test_eval_malformed_weights_is_model_error(tmp_path, command, payload):
     data = gen(tmp_path, kind="segmentation", count=4, size=32)
     bad = tmp_path / "bad.cmtw"
@@ -475,3 +490,15 @@ def test_every_flag_the_readme_names_exists():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     assert named, "README names no flags"
     assert named <= known, sorted(named - known)
+
+
+def test_every_name_the_readme_module_table_lists_exists():
+    # a row reads | `chestkit.module` | contents naming `identifiers` |
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(chestkit\.\w+)` \| (.*) \|$", table, flags=re.M)
+    assert len(rows) >= 10, "README module table not found"
+    missing = [f"{module}.{name}" for module, contents in rows
+               for name in re.findall(r"`([A-Za-z_]\w*)`", contents)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import struct
 import warnings
@@ -9,7 +10,6 @@ import pytest
 from chestkit import kvtext
 from chestkit.models import (
     IRRU,
-    IRRUConfig,
     Irrcnn,
     ModelConfig,
     Nabla3,
@@ -22,6 +22,7 @@ from chestkit.models import (
     build_model,
     load_weights,
     model_config_fields,
+    recurrent_conv,
     param_count,
     save_weights,
 )
@@ -41,7 +42,7 @@ from chestkit.tensor import (
     sum_all,
     upsample2x,
 )
-from chestkit.training import cross_entropy_loss, get_preset
+from chestkit.training import PRESETS, cross_entropy_loss, get_preset, transfer_init
 
 from conftest import rel_error
 
@@ -58,31 +59,33 @@ DESK_SEG = ModelConfig("nabla3", (1, 32, 32), width_scale=0.125)
 # recurrent convolution
 
 
-def test_recurrent_conv_zero_steps_is_plain_conv_relu():
-    store = ParamStore()
-    from chestkit.models import RecurrentConv
+def rand_branch(c_in, c_out, kernel, seed):
+    """A random (fwd_w, fwd_b, rec_w, rec_b) for :func:`recurrent_conv`."""
+    return (rand_image((c_out, c_in, kernel, kernel), seed),
+            rand_image((c_out,), seed + 1),
+            rand_image((c_out, c_out, kernel, kernel), seed + 2),
+            rand_image((c_out,), seed + 3))
 
-    rc = RecurrentConv(store, "rc", c_in=2, c_out=3, kernel=3, steps=0, seed=5)
+
+def test_recurrent_conv_zero_steps_is_plain_conv_relu():
+    fwd_w, fwd_b, rec_w, rec_b = rand_branch(2, 3, 3, seed=5)
     x = rand_image((1, 2, 8, 8), seed=1)
-    expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, padding=1))
-    assert np.array_equal(rc.forward(x).data, expected.data)
+    expected = relu(conv2d(x, fwd_w, fwd_b, padding=1))
+    assert np.array_equal(recurrent_conv(x, fwd_w, fwd_b, rec_w, rec_b, 0).data,
+                          expected.data)
 
 
 def test_recurrent_conv_zero_recurrent_kernel_matches_zero_steps():
-    from chestkit.models import RecurrentConv
-
-    store = ParamStore()
-    rc = RecurrentConv(store, "rc", c_in=1, c_out=2, kernel=3, steps=1, seed=6)
-    rc.rec_w.data[:] = 0.0
-    rc.rec_b.data[:] = 0.0
+    fwd_w, fwd_b, rec_w, rec_b = rand_branch(1, 2, 3, seed=6)
+    rec_w.data[:] = 0.0
+    rec_b.data[:] = 0.0
     x = rand_image((1, 1, 6, 6), seed=2)
-    expected = relu(conv2d(x, rc.fwd_w, rc.fwd_b, padding=1))
-    assert np.array_equal(rc.forward(x).data, expected.data)
+    expected = relu(conv2d(x, fwd_w, fwd_b, padding=1))
+    assert np.array_equal(recurrent_conv(x, fwd_w, fwd_b, rec_w, rec_b, 1).data,
+                          expected.data)
 
 
 def test_recurrent_conv_function_rejects_channel_mismatch():
-    from chestkit.models import recurrent_conv
-
     x = rand_image((1, 2, 6, 6), seed=1)
     fwd_w = rand_image((3, 2, 3, 3), seed=2)
     fwd_b = Tensor(np.zeros(3))
@@ -96,20 +99,14 @@ def test_recurrent_conv_function_rejects_channel_mismatch():
 
 
 def test_recurrent_conv_matches_scalar_unroll():
-    from chestkit.models import RecurrentConv
-
-    store = ParamStore()
-    rc = RecurrentConv(store, "rc", c_in=1, c_out=1, kernel=1, steps=2, seed=7)
+    branch = rand_branch(1, 1, 1, seed=7)
     x_val = 0.37
-    wf = float(rc.fwd_w.data[0, 0, 0, 0])
-    bf = float(rc.fwd_b.data[0])
-    wr = float(rc.rec_w.data[0, 0, 0, 0])
-    br = float(rc.rec_b.data[0])
+    wf, bf, wr, br = (float(t.data.flat[0]) for t in branch)
     f = wf * x_val + bf
     z = f
     for _ in range(2):
         z = max(0.0, f + wr * z + br)
-    out = rc.forward(Tensor(np.array([[[[x_val]]]])))
+    out = recurrent_conv(Tensor(np.array([[[[x_val]]]])), *branch, 2)
     assert abs(out.data[0, 0, 0, 0] - z) < 1e-12
 
 
@@ -118,48 +115,47 @@ def test_recurrent_conv_matches_scalar_unroll():
 
 
 def test_irru_preserves_shape_when_channels_match():
-    unit = IRRU(IRRUConfig(8, 8), seed=3)
+    unit = IRRU(ParamStore(), "irru", 8, 8, steps=2, seed=3)
     x = rand_image((1, 8, 16, 16), seed=4)
     assert unit.forward(x).shape == (1, 8, 16, 16)
 
 
 @pytest.mark.parametrize("c_in,c_out,hw", [(1, 6, 8), (4, 4, 12), (3, 10, 16)])
 def test_irru_preserves_spatial_dims(c_in, c_out, hw):
-    unit = IRRU(IRRUConfig(c_in, c_out), seed=8)
+    unit = IRRU(ParamStore(), "irru", c_in, c_out, steps=2, seed=8)
     x = rand_image((1, c_in, hw, hw), seed=9)
     assert unit.forward(x).shape == (1, c_out, hw, hw)
 
 
 def test_irru_dead_branches_leave_residual_projection():
-    unit = IRRU(IRRUConfig(2, 6), seed=10)
-    for br in unit.branches:
-        br.fwd_w.data[:] = 0.0
-        br.fwd_b.data[:] = 0.0
-        br.rec_w.data[:] = 0.0
-        br.rec_b.data[:] = 0.0
+    unit = IRRU(ParamStore(), "irru", 2, 6, steps=2, seed=10)
+    for branch in unit.branches:
+        for param in branch:
+            param.data[:] = 0.0
     x = rand_image((1, 2, 8, 8), seed=11)
-    expected = conv2d(x, unit.proj_w, unit.proj_b)
+    expected = conv2d(x, *unit.proj)
     assert np.array_equal(unit.forward(x).data, expected.data)
 
 
 def test_irru_channel_split_remainder_to_three_by_three():
-    unit = IRRU(IRRUConfig(2, 7), seed=12)
-    by_kernel = {br.fwd_w.shape[2]: br.fwd_w.shape[0] for br in unit.branches}
+    unit = IRRU(ParamStore(), "irru", 2, 7, steps=2, seed=12)
+    by_kernel = {fwd_w.shape[2]: fwd_w.shape[0] for fwd_w, *_ in unit.branches}
     assert by_kernel == {1: 3, 3: 4}
 
 
 def test_irru_infeasible_split_rejected():
-    with pytest.raises(ValueError):
-        IRRUConfig(2, 1)
+    with pytest.raises(ValueError, match="cannot split 1 channels over 2 branches"):
+        IRRU(ParamStore(), "irru", 2, 1, steps=2, seed=0)
 
 
 def test_irru_gradient_reaches_every_branch_kernel():
-    unit = IRRU(IRRUConfig(2, 4), seed=13)
+    store = ParamStore()
+    unit = IRRU(store, "irru", 2, 4, steps=2, seed=13)
     x = rand_image((1, 2, 8, 8), seed=14)
     with Tape() as tape:
         loss = sum_all(unit.forward(x))
     grads = tape.backward(loss)
-    for name, t in unit.params.items():
+    for name, t in store.items():
         if name.endswith("weight"):
             assert t in grads, name
             assert np.any(grads[t] != 0.0), name
@@ -265,9 +261,11 @@ def test_nabla3_rejects_indivisible_input():
 @pytest.mark.parametrize("changes, match", [
     ({"input_shape": (3, 32, 32)}, "1 channel, got 3"),
     ({"width_scale": 1 / 3}, "more than 10 significant digits"),
-], ids=["three-channels", "width-scale-past-10-digits"])
+    ({"recurrence_steps": -1}, "recurrence_steps must be >= 0"),
+], ids=["three-channels", "width-scale-past-10-digits", "negative-recurrence-steps"])
 def test_model_config_rejects_what_a_weight_file_cannot_rebuild(changes, match):
-    # every corpus is grayscale, and a v2 file writes width_scale with .10g
+    # every corpus is grayscale, a v2 file writes width_scale with .10g,
+    # and a recurrent convolution cannot refine a negative number of times
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(DESK_CLS, **changes)
 
@@ -524,3 +522,22 @@ def test_weight_file_carries_model_config(tmp_path):
         assign_weights(rebuilt, store)
         x = rand_image((1, *cfg.input_shape), seed=48)
         assert rebuilt.forward(x).shape == model.forward(x).shape
+
+
+def test_initial_weights_digest():
+    # every preset's fresh weights, and a desk model whose head transfer_init
+    # re-drew: a change to any layer's shape, name, order, seed key or draw
+    # moves this digest
+    digest = hashlib.sha256()
+    for name in sorted(PRESETS):
+        config = PRESETS[name].model
+        models = [build_model(config, seed=7)]
+        if name.endswith("-desk"):
+            models.append(build_model(config, seed=7))
+            transfer_init(models[-1], build_model(config, seed=3).params, seed=11)
+        for model in models:
+            buf = io.BytesIO()
+            save_weights(model.params, buf)
+            digest.update(buf.getvalue())
+    assert digest.hexdigest() == (
+        "4dc87f63581725e79cb79ccb3ee55741678183f8296a74563df608ded77038eb")
