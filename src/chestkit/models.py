@@ -56,7 +56,6 @@ from .tensor import (
     relu,
     sigmoid,
     softmax,
-    upsample2x,
 )
 
 IRRCNN_UNIT_WIDTHS = (64, 128, 256, 512, 1024)
@@ -306,7 +305,9 @@ class Nabla3:
             c_in = c_out
 
         # decoder paths start at the bottleneck (stage 6) and stages 5 and 4;
-        # a path starting at stage s needs s-1 upsample+conv steps
+        # a path starting at stage s needs s-1 steps, each a 3x3 conv over
+        # the 2x upsample of the step before; conv2d fuses the upsample
+        # (upsample=True), so the tape keeps each step's input at its own size
         self.decoders = []
         for d, start_stage in enumerate((6, 5, 4), start=1):
             steps = []
@@ -334,7 +335,7 @@ class Nabla3:
         for start_stage, steps in self.decoders:
             z = stage_out[start_stage - 1]
             for wt, bt in steps:
-                z = relu(conv2d(upsample2x(z), wt, bt, padding=1))
+                z = relu(conv2d(z, wt, bt, padding=1, upsample=True))
             maps.append(z)
         fused = concat_channels(maps)
         return sigmoid(conv2d(fused, *self.head))

@@ -13,7 +13,10 @@ keys and its backward closure, which keeps the arrays that op's gradient
 needs; it never holds its output.  So a forward intermediate that no
 closure saved (a conv's pre-activation, a relu output) is freed as soon
 as the forward drops it, and backward releases each node, closure and
-saved arrays included, once it has run.
+saved arrays included, once it has run.  A conv keeps its padded input
+buffer; ``conv2d(..., upsample=True)``, a conv over the 2x upsample of its
+input, keeps the quarter-size input instead and rebuilds the buffer in
+backward, so the 4x map is never held.
 
 Ops take batches: the spatial ops and ``concat_channels`` take
 [B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
@@ -309,9 +312,12 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
     return out
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
+           upsample: bool = False) -> Tensor:
     """2-D cross-correlation at stride 1 with zero padding; ``kernels`` is
     [C_out, C_in, kH, kW], ``bias`` [C_out], output H + 2*padding - kH + 1.
+    With ``upsample`` the input [B, C, h, w] stands for its nearest-neighbour
+    2x upsample [B, C, 2h, 2w], bit for bit ``conv2d(upsample2x(x), ...)``.
 
     The input is padded once into a channel-major buffer ``xc``, [C_in,
     B*Hp*Wp + (kH-1)*Wp + kW-1]: sample s, padded pixel (i, j) is column
@@ -323,9 +329,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
     laid out like ``xc`` and zero outside each oh x ow corner, times ``xc``
     shifted by a*Wp + b; columns that wrap into the next row or sample
     meet those zeros.  ``dx`` correlates the output gradient with the
-    flipped, channel-swapped kernels through ``_conv_matmul`` too; it is
-    None for an input that neither requires grad nor was recorded.  The
-    closure retains only ``xc``.
+    flipped, channel-swapped kernels through ``_conv_matmul`` too, and
+    with ``upsample`` goes through ``_sum_quadrants``; it is None for an
+    input that neither requires grad nor was recorded.  The closure
+    retains only ``xc``.  With ``upsample`` the upsample is written straight
+    into ``xc``'s four interior quadrants, so the 4x map is never made, and
+    the closure retains the quarter-size input instead, rebuilding ``xc``
+    for the ``dw`` GEMMs.  A 1x1 conv of one sample with no padding uses the
+    input itself as ``xc``, since it has that layout already.
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
@@ -342,29 +353,45 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
     if c != c_in:
         raise ShapeError(
             f"conv2d: kernels expect {c_in} input channels, input has {c}")
+    if upsample:
+        h, w = 2 * h, 2 * w
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     oh, ow = hp - kh + 1, wp - kw + 1
     n = b * hp * wp
+    tail = (kh - 1) * wp + kw - 1
 
-    xc = np.zeros((c, n + (kh - 1) * wp + kw - 1))
+    def fill(src):
+        # xc for src; one unpadded sample under a 1x1 kernel is xc already
+        if b == 1 and padding == 0 and tail == 0 and not upsample:
+            return src[0].reshape(c, n)
+        xc = np.zeros((c, n + tail))
+        inner = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)[
+            :, :, padding:padding + h, padding:padding + w]
+        for view in _quadrants(inner) if upsample else (inner,):
+            view[...] = src
+        return xc
+
+    xc = fill(xd)
     xp = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)
-    xp[:, :, padding:padding + h, padding:padding + w] = xd
     out = _conv_matmul(kernels.data.reshape(c_out, c_in * kh * kw), xp, kh, kw, oh, ow)
     out += bias.data[:, None]
     out = out.reshape(b, c_out, oh, ow)
     need_dx = x.requires_grad or x._tape is not None
+    saved = xd if upsample else xc   # the quarter-size map, not its 4x buffer
 
     def backward(g):
         g = g.reshape(b, c_out, oh, ow)
         gc = np.zeros((c_out, n))
         gc.reshape(c_out, b, hp, wp)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+        xc = fill(saved) if upsample else saved
         dw = np.empty((kh * kw, c_out, c_in))
         for tap in range(kh * kw):
             shift = (tap // kw) * wp + tap % kw
             np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
+        del gc, xc
         dw = dw.transpose(1, 2, 0).reshape(kernels.shape)
         db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
         if not need_dx:
@@ -378,6 +405,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
                           kh, kw, h, w).reshape(b, c_in, h, w)
+        if upsample:
+            dx = _sum_quadrants(dx)
         return (dx[0] if single else dx), dw, db
 
     return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)
@@ -387,6 +416,25 @@ def _quadrants(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """The four strided views ``a[..., r::2, c::2]`` in row-major window order."""
     return (a[..., 0::2, 0::2], a[..., 0::2, 1::2],
             a[..., 1::2, 0::2], a[..., 1::2, 1::2])
+
+
+def _sum_quadrants(g: np.ndarray) -> np.ndarray:
+    """Each 2x2 block of ``g`` [B, C, 2h, 2w] summed to [B, C, h, w], as
+    ``0.0 + ((g00 + g01) + (g10 + g11))``: bit for bit the order of the
+    numpy reduction ``g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5))``,
+    whose +0.0 start turns an all-negative-zero sum into +0.0.  At width
+    1 numpy fuses the two length-2 axes into one sequential sum, so there
+    the order is ``0.0 + (((g00 + g01) + g10) + g11)``.
+    """
+    g00, g01, g10, g11 = _quadrants(g)
+    dx = g00 + g01
+    if g.shape[-1] == 2:
+        dx += g10
+        dx += g11
+    else:
+        dx += g10 + g11
+    dx += 0.0
+    return dx
 
 
 def _first_max(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,13 +495,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling; each pixel becomes a 2x2 block.
 
-    Forward writes the input into the output's four strided quadrants.
-    Backward adds the gradient's quadrants as
-    ``0.0 + ((g00 + g01) + (g10 + g11))``: bit for bit the order of the
-    numpy reduction ``g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5))``,
-    whose +0.0 start turns an all-negative-zero sum into +0.0.  At width
-    1 numpy fuses the two length-2 axes into one sequential sum, so there
-    the order is ``0.0 + (((g00 + g01) + g10) + g11)``.
+    Forward writes the input into the output's four strided quadrants;
+    backward is ``_sum_quadrants``.  ``conv2d(..., upsample=True)`` does
+    both inside the conv, without making the 4x map.
     """
     xd = _spatial(x, "upsample2x")
     b, c, h, w = xd.shape
@@ -461,18 +505,7 @@ def upsample2x(x: Tensor) -> Tensor:
     for quadrant in _quadrants(out):
         quadrant[...] = xd
 
-    def backward(g):
-        g00, g01, g10, g11 = _quadrants(g)
-        dx = g00 + g01
-        if w == 1:
-            dx += g10
-            dx += g11
-        else:
-            dx += g10 + g11
-        dx += 0.0
-        return (dx,)
-
-    return _record(Tensor(out), (x,), backward)
+    return _record(Tensor(out), (x,), lambda g: (_sum_quadrants(g),))
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:

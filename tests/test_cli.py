@@ -1,9 +1,12 @@
 import argparse
 import importlib
 import io
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,18 @@ def test_gen_data_infection_layout(tmp_path):
 def test_gen_data_unknown_kind_is_argument_error(tmp_path):
     code = run(["gen-data", "--kind", "volumetric", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    # `python -m chestkit.cli` exits as the installed `chestkit` script does
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "chestkit.cli", "gen-data", "--kind", "classification",
+         "--count", "0", "--out", str(tmp_path / "a")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 2
+    assert "count must be >= 1" in proc.stderr
+    assert not (tmp_path / "a").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,18 @@ def test_conv2d_is_linear_with_zero_bias():
 SMALL_COLS_BYTES = [1, 5000, 20000, 30000]
 
 
-def check_conv2d_forward_batch_invariance():
+def check_conv2d_forward_batch_invariance(upsample=False):
+    # with upsample the 4x4 input is conv'd at 8x8, so the columns match
+    side = 4 if upsample else 8
     rng = DetRng(4)
-    batch = Tensor(rng.normal(4 * 2 * 8 * 8).reshape(4, 2, 8, 8))
+    batch = Tensor(rng.normal(4 * 2 * side * side).reshape(4, 2, side, side))
     k = rand_tensor((3, 2, 3, 3), seed=5)
     b = rand_tensor((3,), seed=6)
-    full = conv2d(batch, k, b, padding=1).data
+    full = conv2d(batch, k, b, padding=1, upsample=upsample).data
+    if upsample:
+        assert full.tobytes() == conv2d(upsample2x(batch), k, b, padding=1).data.tobytes()
     for i in range(4):
-        single = conv2d(Tensor(batch.data[i:i + 1]), k, b, padding=1).data
+        single = conv2d(Tensor(batch.data[i:i + 1]), k, b, padding=1, upsample=upsample).data
         assert np.array_equal(full[i], single[0])
 
 
@@ -119,6 +123,13 @@ def test_conv2d_batched_matches_per_sample_bitwise():
 def test_conv2d_batched_matches_per_sample_bitwise_in_blocks(cols_bytes, monkeypatch):
     monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
     check_conv2d_forward_batch_invariance()
+
+
+@pytest.mark.parametrize("cols_bytes", [None, *SMALL_COLS_BYTES])
+def test_upsample_conv2d_batched_matches_per_sample_bitwise(cols_bytes, monkeypatch):
+    if cols_bytes is not None:
+        monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    check_conv2d_forward_batch_invariance(upsample=True)
 
 
 def test_conv2d_gradients_match_finite_differences():
@@ -191,21 +202,27 @@ def test_conv2d_skips_input_gradient_nobody_reads():
         assert rel_error(grads[t], numeric_grad(forward, t)) < 1e-3
 
 
-def check_conv2d_input_gradient_batch_invariance():
-    batch = rand_tensor((4, 2, 8, 8), seed=14)
+def check_conv2d_input_gradient_batch_invariance(upsample=False):
+    side = 4 if upsample else 8
+    batch = rand_tensor((4, 2, side, side), seed=14)
     k = rand_tensor((3, 2, 3, 3), seed=15, requires_grad=True)
     b = rand_tensor((3,), seed=16, requires_grad=True)
     upstream = rand_tensor((4, 3, 8, 8), seed=17)
 
-    def input_grad(x, g):
+    def input_grad(x, g, fused=True):
         x = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(mul(conv2d(x, k, b, padding=1), Tensor(g)))
-        return tape.backward(loss)[x]
+            out = (conv2d(x, k, b, padding=1, upsample=upsample) if fused
+                   else conv2d(upsample2x(x), k, b, padding=1))
+            loss = sum_all(mul(out, Tensor(g)))
+        return out.data, tape.backward(loss)[x]
 
-    full = input_grad(batch.data, upstream.data)
+    out, full = input_grad(batch.data, upstream.data)
+    if upsample:
+        want = input_grad(batch.data, upstream.data, fused=False)
+        assert out.tobytes() == want[0].tobytes() and full.tobytes() == want[1].tobytes()
     for i in range(4):
-        single = input_grad(batch.data[i:i + 1], upstream.data[i:i + 1])
+        single = input_grad(batch.data[i:i + 1], upstream.data[i:i + 1])[1]
         assert np.array_equal(full[i], single[0])
 
 
@@ -218,6 +235,14 @@ def test_conv2d_input_gradient_batched_matches_per_sample_bitwise_in_blocks(
         cols_bytes, monkeypatch):
     monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
     check_conv2d_input_gradient_batch_invariance()
+
+
+@pytest.mark.parametrize("cols_bytes", [None, *SMALL_COLS_BYTES])
+def test_upsample_conv2d_input_gradient_batched_matches_per_sample_bitwise(
+        cols_bytes, monkeypatch):
+    if cols_bytes is not None:
+        monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    check_conv2d_input_gradient_batch_invariance(upsample=True)
 
 
 def test_conv2d_one_image_equals_a_batch_of_one():
@@ -660,6 +685,67 @@ def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
         assert full[i].tobytes() == input_grad(upsample2x, x[i:i + 1], g[i:i + 1])[1][0].tobytes()
 
 
+# ---------------------------------------------------------------------------
+# conv2d with a fused 2x upsample, against upsample2x + conv2d
+
+
+# (batch, h, w, kernel, padding) for input [batch, 2, h, w]; a 3x3 kernel
+# needs padding on a 1-row input, whose upsample is 2 rows
+UPSAMPLE_CONV_GEOMETRIES = [
+    (batch, h, w, k, padding)
+    for batch in (1, 3)
+    for h, w in ((1, 1), (1, 3), (2, 3), (4, 5))
+    for k in (1, 3)
+    for padding in (0, 1)
+    if k <= 2 * h + 2 * padding
+]
+
+
+@pytest.mark.parametrize("batch,h,w,k,padding", UPSAMPLE_CONV_GEOMETRIES)
+def test_upsample_conv2d_byte_equal_to_composition(batch, h, w, k, padding):
+    seed = batch * 1000 + h * 100 + w * 10 + k + padding
+    x = upsample_grad_case(batch, 2, h, w, seed=seed)
+    kern = rand_tensor((3, 2, k, k), seed=seed + 1).data
+    b = rand_tensor((3,), seed=seed + 2).data
+    side_h, side_w = 2 * h + 2 * padding - k + 1, 2 * w + 2 * padding - k + 1
+    g = upsample_grad_case(batch, 3, side_h, side_w, seed=seed + 3)
+
+    def run(fused):
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
+        with Tape() as tape:
+            out = (conv2d(xt, kt, bt, padding=padding, upsample=True) if fused
+                   else conv2d(upsample2x(xt), kt, bt, padding=padding))
+            loss = sum_all(mul(out, Tensor(g)))
+        grads = tape.backward(loss)
+        return out.data, grads[xt], grads[kt], grads[bt]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_upsample_conv2d_input_gradient_keeps_the_width_1_order():
+    # through an identity 1x1 conv, dx is the quadrant sum of the upstream
+    # gradient itself; 1 + 0 + 1e16 - 1e16 is 0 added in sequence, as numpy
+    # sums at width 1, and 1 added in pairs
+    g = np.array([[[[1.0, 0.0], [1e16, -1e16]]]])
+    _, dx = input_grad(
+        lambda x: conv2d(x, Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)), upsample=True),
+        np.zeros((1, 1, 1, 1)), g)
+    assert dx.tobytes() == upsample2x_backward_brute(g).tobytes() == np.zeros((1, 1, 1, 1)).tobytes()
+
+
+def test_upsample_conv2d_kernel_checked_against_the_upsampled_size():
+    # [a, b] upsamples to [[a, a, b, b], [a, a, b, b]]: a 2x2 kernel fits
+    # that but not the 1x2 input, and a 3x3 kernel fits neither
+    x = Tensor(np.array([[[[1.0, 10.0]]]]))
+    k = Tensor(np.array([[[[1.0, 2.0], [4.0, 8.0]]]]))
+    out = conv2d(x, k, Tensor(np.zeros(1)), upsample=True)
+    assert out.data.tobytes() == np.array([[[[15.0, 105.0, 150.0]]]]).tobytes()
+    with pytest.raises(ShapeError, match="kernel 3x3 larger than padded input 2x4"):
+        conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)), upsample=True)
+
+
 def test_concat_channels_shapes_and_order():
     a = rand_tensor((1, 1, 2, 2), seed=23)
     b = rand_tensor((1, 2, 2, 2), seed=24)
@@ -998,6 +1084,11 @@ def _fd_cases():
         "upsample2x": (
             lambda ts: mul(upsample2x(ts[0]), Tensor(np.arange(16.0).reshape(1, 1, 4, 4))),
             [(1, 1, 2, 2)],
+        ),
+        "upsample_conv2d": (
+            lambda ts: mul(conv2d(ts[0], ts[1], ts[2], padding=1, upsample=True),
+                           Tensor(np.arange(108.0).reshape(1, 3, 6, 6))),
+            [(1, 2, 3, 3), (3, 2, 3, 3), (3,)],
         ),
         "concat_channels": (
             lambda ts: mul(concat_channels([ts[0], ts[1]]),
