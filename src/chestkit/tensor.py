@@ -28,6 +28,16 @@ sample, ``conv2d`` with GEMMs over blocks of several whole samples or of
 rows of one large sample.  So each sample's result is independent of the
 rest of the batch to the last bit; a weight gradient sums over it.
 
+A ``conv2d`` call with at least ``_SPLIT_FLOPS`` of GEMM work deals its
+independent GEMMs (the column blocks of the forward and of ``dx``, the
+kernel taps of ``dw``) to a pool of ``_WORKERS`` threads: one per CPU the
+process may run on, at most two.  Each GEMM keeps its shape and operands
+and writes only its own slice of the output, so every byte is the same
+as on one thread, whatever the worker count; numpy releases the GIL in
+``matmul`` and in array copies.  Workers run numpy only: the tape belongs
+to the calling thread and they never record.  The pool starts on first
+use, and a forked child starts a pool of its own.
+
 Conventions fixed here and relied on elsewhere:
 
 * ``relu`` has gradient 0 at exactly 0 (subgradient choice).
@@ -39,6 +49,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Callable, Sequence
 
@@ -268,8 +279,55 @@ def _spatial(x: Tensor, op: str) -> np.ndarray:
     return x.data
 
 
-# bytes of im2col columns that conv2d holds at once
+# bytes of im2col columns that conv2d holds at once, per worker
 _COLS_BYTES = 1 << 20
+# conv2d's GEMMs go to worker threads, one per CPU this process may run on
+# and at most two, when a call does at least _SPLIT_FLOPS of them.  Timed
+# per call on a 2-core VM, the desk presets' calls (at most 38 MFLOP) ran
+# 0.4-1.2x as fast on two threads, the full-width seg preset's from
+# 150 MFLOP up 1.1-1.9x
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_SPLIT_FLOPS = 1 << 26
+_pool = None   # a concurrent.futures.ThreadPoolExecutor, from the first split
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads, so work handed to the
+    # parent's pool would never run, and a lock one of them held stays held;
+    # the child makes its own pool on first use
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _deal(work: Callable[[Sequence], None], units: Sequence, flops: int) -> None:
+    """Run ``work(units)`` on this thread or, for two or more units and at
+    least ``_SPLIT_FLOPS`` of GEMM work, ``work(units[w::_WORKERS])`` on
+    each worker w.  Return once every worker has finished; raise the first
+    worker's exception.  ``work`` must write each unit's slice of the
+    output alone, so the result does not depend on the thread that ran it.
+    """
+    global _pool
+    if _WORKERS < 2 or len(units) < 2 or flops < _SPLIT_FLOPS:
+        work(units)
+        return
+    # imported here: the desk presets never split, and the import alone
+    # adds 0.6 MB to a process
+    from concurrent import futures
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(_WORKERS, thread_name_prefix="chestkit-conv2d")
+        pool = _pool
+    running = [pool.submit(work, units[w::_WORKERS]) for w in range(_WORKERS)]
+    futures.wait(running)
+    for future in running:
+        future.result()
 
 
 def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
@@ -279,8 +337,9 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
 
     im2col row ``(c*kh + a)*kw + b``, column ``i*ow + j`` holds
     ``xp[:, c, i + a, j + b]``.  The columns are built a block at a time
-    in one buffer of about ``_COLS_BYTES`` and multiplied into their slice
-    of the output.  A block is as many whole samples as fit, each with its
+    in a buffer of about ``_COLS_BYTES`` and multiplied into their slice
+    of the output; ``_deal`` may share the blocks among workers, each with
+    a buffer of its own.  A block is as many whole samples as fit, each with its
     own GEMM of the same shape and operands for any batch size; a sample
     larger than the buffer goes through it a block of output rows at a
     time, split by its own shape alone.  So each sample's result is
@@ -301,14 +360,18 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
         samples, rows = min(b, _COLS_BYTES // (row_bytes * oh)), oh
     else:
         samples, rows = 1, max(1, _COLS_BYTES // row_bytes)
-    buf = np.empty(samples * k * rows * ow)
-    for s in range(0, b, samples):
-        for i in range(0, oh, rows):
+
+    def blocks(starts):
+        buf = np.empty(samples * k * rows * ow)
+        for s, i in starts:
             n, r = min(samples, b - s), min(rows, oh - i)
             cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
             cols[...] = windows[s:s + n, :, :, :, i:i + r]
             np.matmul(wmat, cols.reshape(n, k, r * ow),
                       out=out[s:s + n, :, i * ow:(i + r) * ow])
+
+    _deal(blocks, [(s, i) for s in range(0, b, samples) for i in range(0, oh, rows)],
+          2 * out.size * k)
     return out
 
 
@@ -388,9 +451,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         gc.reshape(c_out, b, hp, wp)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
         xc = fill(saved) if upsample else saved
         dw = np.empty((kh * kw, c_out, c_in))
-        for tap in range(kh * kw):
-            shift = (tap // kw) * wp + tap % kw
-            np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
+
+        def taps(part):
+            for tap in part:
+                shift = (tap // kw) * wp + tap % kw
+                np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
+
+        _deal(taps, range(kh * kw), 2 * dw.size * n)
         del gc, xc
         dw = dw.transpose(1, 2, 0).reshape(kernels.shape)
         db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))

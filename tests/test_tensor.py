@@ -1,5 +1,10 @@
 import gc
 import math
+import os
+import select
+import signal
+import threading
+import time
 import warnings
 import weakref
 
@@ -13,7 +18,9 @@ from chestkit.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _active_tape,
     _conv_matmul,
+    _deal,
     add,
     apply_op,
     concat_channels,
@@ -243,6 +250,152 @@ def test_upsample_conv2d_input_gradient_batched_matches_per_sample_bitwise(
     if cols_bytes is not None:
         monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
     check_conv2d_input_gradient_batch_invariance(upsample=True)
+
+
+# ---------------------------------------------------------------------------
+# conv2d on worker threads
+
+
+def deal_to(monkeypatch, workers):
+    """Every conv2d GEMM call with two or more units goes to ``workers``
+    threads, however little work it does."""
+    monkeypatch.setattr("chestkit.tensor._WORKERS", workers)
+    monkeypatch.setattr("chestkit.tensor._SPLIT_FLOPS", 0)
+
+
+def within(seconds, fn):
+    """Run ``fn()`` on a daemon thread and raise what it raised; fail the
+    test if it is still running after ``seconds``."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:  # raised again on the test's thread
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"still running after {seconds} s"
+    if raised:
+        raise raised[0]
+
+
+def conv_bytes_and_nodes(upsample):
+    """The bytes of a conv's output and of its input, kernel and bias
+    gradients, and the number of nodes its tape recorded."""
+    side = 4 if upsample else 8
+    x = rand_tensor((4, 2, side, side), seed=60, requires_grad=True)
+    k = rand_tensor((3, 2, 3, 3), seed=61, requires_grad=True)
+    b = rand_tensor((3,), seed=62, requires_grad=True)
+    upstream = rand_tensor((4, 3, 8, 8), seed=63)
+    with Tape() as tape:
+        out = conv2d(x, k, b, padding=1, upsample=upsample)
+        loss = sum_all(mul(out, upstream))
+    grads = tape.backward(loss)
+    return [out.data.tobytes(), *(grads[t].tobytes() for t in (x, k, b))], len(tape)
+
+
+@pytest.mark.parametrize("upsample", [False, True])
+@pytest.mark.parametrize("cols_bytes", [None, *SMALL_COLS_BYTES])
+def test_conv2d_on_two_workers_byte_equal_to_one(cols_bytes, upsample, monkeypatch):
+    # the dw taps are always split; the forward and dx blocks are split at
+    # the small buffer sizes, where each takes several
+    if cols_bytes is not None:
+        monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    results = []
+    for workers in (1, 2):
+        deal_to(monkeypatch, workers)
+        results.append(conv_bytes_and_nodes(upsample))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("upsample", [False, True])
+@pytest.mark.parametrize("cols_bytes", [None, *SMALL_COLS_BYTES])
+def test_conv2d_batched_matches_per_sample_bitwise_on_two_workers(
+        cols_bytes, upsample, monkeypatch):
+    # the batch-invariance checks above run on one thread, below the split
+    # threshold; here every call they make is split
+    if cols_bytes is not None:
+        monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
+    deal_to(monkeypatch, 2)
+    check_conv2d_forward_batch_invariance(upsample)
+    check_conv2d_input_gradient_batch_invariance(upsample)
+
+
+def test_conv2d_workers_see_no_tape(monkeypatch):
+    deal_to(monkeypatch, 2)
+    caller = threading.current_thread()
+    seen = []
+
+    def work(units):
+        seen.append((threading.current_thread() is caller, _active_tape(), list(units)))
+
+    with Tape() as tape:
+        _deal(work, range(5), 0)
+        assert _active_tape() is tape
+    assert sorted(seen, key=lambda s: s[2]) == [(False, None, [0, 2, 4]),
+                                                (False, None, [1, 3])]
+
+
+def test_conv2d_worker_exception_reaches_the_caller(monkeypatch):
+    deal_to(monkeypatch, 2)
+    done = []
+
+    def work(units):
+        if 0 in units:
+            raise ZeroDivisionError("unit 0")
+        time.sleep(0.05)
+        done.extend(units)
+
+    with pytest.raises(ZeroDivisionError, match="unit 0"):
+        within(20, lambda: _deal(work, range(4), 0))
+    # the caller waited for the other worker, and the pool still runs work
+    assert done == [1, 3]
+    done.clear()
+    within(20, lambda: _deal(work, [1, 3], 0))
+    assert sorted(done) == [1, 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_conv2d_in_a_forked_child_makes_its_own_workers(monkeypatch):
+    # a child forked after the pool started has none of its threads; handed
+    # to the parent's pool, the child's next split conv would never finish
+    deal_to(monkeypatch, 2)
+    monkeypatch.setattr("chestkit.tensor._COLS_BYTES", 1)
+    x = rand_tensor((2, 2, 8, 8), seed=64)
+    k = rand_tensor((3, 2, 3, 3), seed=65)
+    b = rand_tensor((3,), seed=66)
+    want = conv2d(x, k, b, padding=1).data.tobytes()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn that forking a threaded process can deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(conv2d(x, k, b, padding=1).data.tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    got = b""
+    deadline = time.monotonic() + 20
+    with os.fdopen(read, "rb", buffering=0) as pipe:
+        while select.select([pipe], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            chunk = pipe.read(1 << 16)
+            if not chunk:
+                break
+            got += chunk
+        else:  # select timed out
+            os.kill(pid, signal.SIGKILL)
+    _, status = os.waitpid(pid, 0)
+    assert status == 0, "the child's conv did not finish within 20 s"
+    assert got == want
 
 
 def test_conv2d_one_image_equals_a_batch_of_one():
