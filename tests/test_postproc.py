@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chestkit import synthdata
 from chestkit.postproc import (
     InfectionReport,
     OracleSegmenter,
@@ -252,6 +255,15 @@ def test_bigger_structuring_element():
                 (seed, radius)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_morphology_of_zero_size_mask_is_empty(shape):
+    mask = np.zeros(shape, dtype=bool)
+    outs = [erode(mask, radius) for radius in (0, 1, 3)]
+    outs += [dilate(mask), open_mask(mask), close_mask(mask)]
+    for out in outs:
+        assert out.shape == shape and out.dtype == bool
+
+
 def test_erode_rejects_negative_radius():
     with pytest.raises(ValueError, match="radius"):
         erode(np.ones((4, 4), dtype=bool), -1)
@@ -372,6 +384,27 @@ def test_connected_components_tie_goes_to_first_pixel_in_raster_order():
         assert_same_regions(regions, connected_components_brute(mask, connectivity))
 
 
+def test_connected_components_edge_cases_match_brute_force():
+    wrap = np.zeros((4, 6), dtype=bool)       # (r, w-1) and (r+1, 0)
+    wrap[1, 5] = wrap[2, 0] = True
+    borders = np.zeros((4, 6), dtype=bool)    # a run at the right border
+    borders[1, 3:] = True                     # above one at the left border
+    borders[2, :2] = True
+    for connectivity in (4, 8):
+        for mask in (wrap, borders):
+            regions = connected_components(mask, connectivity)
+            assert len(regions) == 2
+            assert_same_regions(regions, connected_components_brute(mask, connectivity))
+        for k, shape in enumerate(((256, 7), (7, 256))):
+            for density in (0.3, 0.6):
+                mask = random_mask(3200 + k, *shape, density=density)
+                assert_same_regions(connected_components(mask, connectivity),
+                                    connected_components_brute(mask, connectivity))
+        for shape in ((0, 5), (5, 0), (0, 0)):
+            assert connected_components(np.zeros(shape, dtype=bool), connectivity) == []
+            assert connected_components_brute(np.zeros(shape, dtype=bool), connectivity) == []
+
+
 def test_connected_components_rejects_bad_connectivity():
     with pytest.raises(ValueError):
         connected_components(np.ones((3, 3), dtype=bool), connectivity=6)
@@ -473,6 +506,43 @@ def test_adaptive_threshold_matches_brute_force_on_20_random_images():
             assert np.array_equal(got, want), (seed, window)
 
 
+@pytest.mark.parametrize("shape,windows", [
+    ((1, 30), (3, 7, 61)),         # 61 exceeds both sides
+    ((30, 1), (3, 7, 61)),
+    ((5, 40), (3, 7, 15, 81)),     # 7 and 15 exceed the height only
+])
+def test_adaptive_threshold_matches_brute_force_on_non_square_images(shape, windows):
+    h, w = shape
+    for seed in range(5):
+        img = (DetRng(seed + 1050).random(h * w).reshape(h, w) * 255).astype(np.uint8)
+        roi = random_mask(seed + 2050, h, w, density=0.8)
+        for window in windows:
+            got = adaptive_threshold(img, roi, window=window, offset=2.0)
+            assert np.array_equal(got, adaptive_brute(img, roi, window, 2.0)), (seed, window)
+
+
+def test_adaptive_threshold_matches_brute_force_at_256_with_default_window():
+    sample = synthdata.gen_infection_set(synthdata.SynthSpec(count=1, size=256, seed=7))[0]
+    roi = sample.lung_mask
+    extracted = apply_mask(sample.image, roi)
+    got = adaptive_threshold(extracted, roi)
+    assert got.any()
+    assert np.array_equal(got, adaptive_brute(extracted, roi, 15, 5.0))
+
+
+def test_adaptive_threshold_matches_brute_force_on_dyadic_floats():
+    # multiples of 1/4 sum exactly in any order, so the fast sums and the
+    # oracle's sequential ones agree bit for bit
+    for seed in range(10):
+        rng = DetRng(seed + 1100)
+        img = np.floor(rng.random(20 * 24).reshape(20, 24) * 1024) / 4 - 64
+        roi = random_mask(seed + 2100, 20, 24, density=0.7)
+        for window, offset in ((3, 0.25), (9, -1.5), (31, 0.0)):
+            got = adaptive_threshold(img, roi, window=window, offset=offset)
+            assert np.array_equal(got, adaptive_brute(img, roi, window, offset)), \
+                (seed, window)
+
+
 def test_adaptive_threshold_respects_roi():
     img = np.full((10, 10), 50, dtype=np.uint8)
     img[5, 5] = 255
@@ -486,6 +556,47 @@ def test_adaptive_threshold_rejects_even_window():
     with pytest.raises(ValueError):
         adaptive_threshold(np.zeros((5, 5), dtype=np.uint8),
                            np.ones((5, 5), dtype=bool), window=4)
+
+
+# ---------------------------------------------------------------------------
+# property tests against the oracles, on drawn shapes and densities
+
+
+@st.composite
+def drawn_masks(draw, max_side=24):
+    h = draw(st.integers(0, max_side))
+    w = draw(st.integers(0, max_side))
+    density = draw(st.floats(0.0, 1.0))
+    return random_mask(draw(st.integers(0, 2 ** 31)), h, w, density=density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_masks(), st.sampled_from((4, 8)))
+def test_connected_components_property(mask, connectivity):
+    assert_same_regions(connected_components(mask, connectivity),
+                        connected_components_brute(mask, connectivity))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_masks(), st.integers(0, 3))
+def test_morphology_property(mask, radius):
+    assert np.array_equal(erode(mask, radius), erode_brute(mask, box(radius)))
+    assert np.array_equal(dilate(mask), dilate_brute(mask, box()))
+    assert np.array_equal(open_mask(mask), open_brute(mask, box()))
+    assert np.array_equal(close_mask(mask), close_brute(mask, box()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_masks(), st.integers(1, 25), st.booleans(),
+       st.sampled_from((-2.0, 0.0, 1.0, 5.0)), st.integers(0, 2 ** 31))
+def test_adaptive_threshold_property(roi, half_window, dyadic, offset, seed):
+    h, w = roi.shape
+    values = DetRng(seed).random(h * w).reshape(h, w)
+    # uint8 values, or multiples of 1/4: both sum exactly in any order
+    img = np.floor(values * 1024) / 4 if dyadic else (values * 256).astype(np.uint8)
+    window = 2 * half_window + 1
+    assert np.array_equal(adaptive_threshold(img, roi, window, offset),
+                          adaptive_brute(img, roi, window, offset))
 
 
 # ---------------------------------------------------------------------------
