@@ -333,11 +333,9 @@ def heatmap_overlay(image: np.ndarray, infected: np.ndarray) -> np.ndarray:
     if img.shape != infected.shape:
         raise ValueError(f"image {img.shape} and mask {infected.shape} differ")
     g16 = img.astype(np.uint16)
-    rgb = np.stack([img, img, img], axis=-1)
-    rgb[..., 0] = np.where(infected, ((g16 + 255) // 2).astype(np.uint8), img)
-    rgb[..., 1] = np.where(infected, (g16 // 2).astype(np.uint8), img)
-    rgb[..., 2] = np.where(infected, (g16 // 2).astype(np.uint8), img)
-    return rgb
+    red = np.where(infected, ((g16 + 255) // 2).astype(np.uint8), img)
+    green_blue = np.where(infected, (g16 // 2).astype(np.uint8), img)
+    return np.stack([red, green_blue, green_blue], axis=-1)
 
 
 class OracleSegmenter:

@@ -31,12 +31,20 @@ rest of the batch to the last bit; a weight gradient sums over it.
 A ``conv2d`` call with at least ``_SPLIT_FLOPS`` of GEMM work deals its
 independent GEMMs (the column blocks of the forward and of ``dx``, the
 kernel taps of ``dw``) to a pool of ``_WORKERS`` threads: one per CPU the
-process may run on, at most two.  Each GEMM keeps its shape and operands
-and writes only its own slice of the output, so every byte is the same
-as on one thread, whatever the worker count; numpy releases the GIL in
-``matmul`` and in array copies.  Workers run numpy only: the tape belongs
-to the calling thread and they never record.  The pool starts on first
-use, and a forked child starts a pool of its own.
+process may run on, at most two.
+Its memory passes go to the same pool, one contiguous channel slab per
+worker, when the pass's largest array has at least ``_SPLIT_BYTES``: the
+copies into the padded buffers of the input and of the output gradient
+(``_padded``) and ``_sum_quadrants``.  ``deal_memory`` offers the same
+rule to other modules; ``training.adam_step`` deals its blocks of
+parameter rows through it.  These passes call no BLAS, and their large
+arrays are made on the calling thread.  Each unit of work keeps its
+shape and operands and writes only its own slice of the output, so every
+byte is the same as on one thread, whatever the worker count; numpy
+releases the GIL in ``matmul``, in array copies and in arithmetic.
+Workers run numpy only: the tape belongs to the calling thread and they
+never record.  The pool starts on first use, and a forked child starts a
+pool of its own.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -289,6 +297,13 @@ _COLS_BYTES = 1 << 20
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _SPLIT_FLOPS = 1 << 26
+# a memory pass (conv2d's padded buffers, the quadrant sum, adam_step by
+# its parameters' bytes) goes to the same workers when its largest array
+# has at least _SPLIT_BYTES.  Timed per call on the same VM, full-width seg
+# passes of 4 MB and up ran 1.1-2.1x as fast on two threads, those of
+# 2-2.4 MB 0.8-1.5x and smaller ones slower: a split costs 0.1-0.5 ms.
+# The desk presets' passes are at most 1.5 MB
+_SPLIT_BYTES = 1 << 22
 _pool = None   # a concurrent.futures.ThreadPoolExecutor, from the first split
 _pool_lock = threading.Lock()
 
@@ -305,15 +320,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _deal(work: Callable[[Sequence], None], units: Sequence, flops: int) -> None:
-    """Run ``work(units)`` on this thread or, for two or more units and at
-    least ``_SPLIT_FLOPS`` of GEMM work, ``work(units[w::_WORKERS])`` on
-    each worker w.  Return once every worker has finished; raise the first
-    worker's exception.  ``work`` must write each unit's slice of the
-    output alone, so the result does not depend on the thread that ran it.
+def _deal(work: Callable[[Sequence], None], units: Sequence, split: bool) -> None:
+    """Run ``work(units)`` on this thread or, when ``split`` and for two or
+    more units, ``work(units[w::_WORKERS])`` on each worker w.  Return once
+    every worker has finished; raise the first worker's exception.
+    ``work`` must write each unit's slice of the output alone, so the
+    result does not depend on the thread that ran it.
     """
     global _pool
-    if _WORKERS < 2 or len(units) < 2 or flops < _SPLIT_FLOPS:
+    if not split or _WORKERS < 2 or len(units) < 2:
         work(units)
         return
     # imported here: the desk presets never split, and the import alone
@@ -322,12 +337,54 @@ def _deal(work: Callable[[Sequence], None], units: Sequence, flops: int) -> None
 
     with _pool_lock:
         if _pool is None:
-            _pool = futures.ThreadPoolExecutor(_WORKERS, thread_name_prefix="chestkit-conv2d")
+            _pool = futures.ThreadPoolExecutor(_WORKERS, thread_name_prefix="chestkit")
         pool = _pool
     running = [pool.submit(work, units[w::_WORKERS]) for w in range(_WORKERS)]
     futures.wait(running)
     for future in running:
         future.result()
+
+
+def deal_memory(work: Callable[[Sequence], None], units: Sequence, nbytes: int) -> None:
+    """``_deal`` for a memory pass over ``nbytes``: ``work(units)`` on this
+    thread below ``_SPLIT_BYTES``, else the units shared among the workers
+    under the same contract."""
+    _deal(work, units, nbytes >= _SPLIT_BYTES)
+
+
+def _by_channel(work: Callable[[slice], None], c: int, nbytes: int) -> None:
+    """``work(s)`` for channel slices ``s`` that cover ``range(c)``: one
+    contiguous slab per worker when ``nbytes`` is at least
+    ``_SPLIT_BYTES`` and there are channels enough, else one slice on this
+    thread.  Contiguous slabs keep each worker on memory pages of its own."""
+    slabs = min(_WORKERS, c) if nbytes >= _SPLIT_BYTES else 1
+    if slabs < 2:
+        work(slice(0, c))
+        return
+    bounds = [c * i // slabs for i in range(slabs + 1)]
+    _deal(lambda part: [work(slice(lo, hi)) for lo, hi in part],
+          list(zip(bounds, bounds[1:])), True)
+
+
+def _padded(shape: tuple[int, ...], as_maps: Callable[[np.ndarray], np.ndarray],
+            src: np.ndarray, top: int, left: int, upsample: bool = False) -> np.ndarray:
+    """``np.zeros(shape)`` whose channel-first view ``as_maps(buf)``, [C, B,
+    H, W], holds ``src`` [C, B, h, w], or its 2x upsample, at (top, left).
+    ``_by_channel`` deals the copy."""
+    buf = np.zeros(shape)
+    maps = as_maps(buf)
+    h, w = src.shape[2:]
+    if upsample:
+        h, w = 2 * h, 2 * w
+    inner = maps[..., top:top + h, left:left + w]
+    views = _quadrants(inner) if upsample else (inner,)
+
+    def part(s):
+        for view in views:
+            view[s] = src[s]
+
+    _by_channel(part, len(maps), buf.nbytes)
+    return buf
 
 
 def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
@@ -371,7 +428,7 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
                       out=out[s:s + n, :, i * ow:(i + r) * ow])
 
     _deal(blocks, [(s, i) for s in range(0, b, samples) for i in range(0, oh, rows)],
-          2 * out.size * k)
+          2 * out.size * k >= _SPLIT_FLOPS)
     return out
 
 
@@ -430,12 +487,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         # xc for src; one unpadded sample under a 1x1 kernel is xc already
         if b == 1 and padding == 0 and tail == 0 and not upsample:
             return src[0].reshape(c, n)
-        xc = np.zeros((c, n + tail))
-        inner = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)[
-            :, :, padding:padding + h, padding:padding + w]
-        for view in _quadrants(inner) if upsample else (inner,):
-            view[...] = src
-        return xc
+        return _padded((c, n + tail), lambda a: a[:, :n].reshape(c, b, hp, wp),
+                       src.transpose(1, 0, 2, 3), padding, padding, upsample)
 
     xc = fill(xd)
     xp = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)
@@ -447,8 +500,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
 
     def backward(g):
         g = g.reshape(b, c_out, oh, ow)
-        gc = np.zeros((c_out, n))
-        gc.reshape(c_out, b, hp, wp)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+        gc = _padded((c_out, n), lambda a: a.reshape(c_out, b, hp, wp),
+                     g.transpose(1, 0, 2, 3), 0, 0)
         xc = fill(saved) if upsample else saved
         dw = np.empty((kh * kw, c_out, c_in))
 
@@ -457,7 +510,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
                 shift = (tap // kw) * wp + tap % kw
                 np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
 
-        _deal(taps, range(kh * kw), 2 * dw.size * n)
+        _deal(taps, range(kh * kw), 2 * dw.size * n >= _SPLIT_FLOPS)
         del gc, xc
         dw = dw.transpose(1, 2, 0).reshape(kernels.shape)
         db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
@@ -466,8 +519,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         # dx is the full correlation of the gradient, zero-padded by k-1,
         # with the flipped kernels; the crop drops the rows and columns
         # that fall on the input's zero padding
-        gz = np.zeros((b, c_out, hp + kh - 1, wp + kw - 1))
-        gz[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = g
+        gz = _padded((b, c_out, hp + kh - 1, wp + kw - 1), lambda a: a.transpose(1, 0, 2, 3),
+                     g.transpose(1, 0, 2, 3), kh - 1, kw - 1)
         gz = gz[:, :, padding:padding + h + kh - 1, padding:padding + w + kw - 1]
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
@@ -493,14 +546,24 @@ def _sum_quadrants(g: np.ndarray) -> np.ndarray:
     1 numpy fuses the two length-2 axes into one sequential sum, so there
     the order is ``0.0 + (((g00 + g01) + g10) + g11)``.
     """
+    b, c, h, w = g.shape
+    dx = np.empty((b, c, h // 2, w // 2))
+    # g10 + g11 is made here rather than on the workers: memory a worker
+    # allocates stays in its own malloc arena, raising the peak RSS
+    lower = None if w == 2 else np.empty_like(dx)
     g00, g01, g10, g11 = _quadrants(g)
-    dx = g00 + g01
-    if g.shape[-1] == 2:
-        dx += g10
-        dx += g11
-    else:
-        dx += g10 + g11
-    dx += 0.0
+
+    def part(s):
+        d = dx[:, s]
+        np.add(g00[:, s], g01[:, s], out=d)
+        if lower is None:
+            d += g10[:, s]
+            d += g11[:, s]
+        else:
+            d += np.add(g10[:, s], g11[:, s], out=lower[:, s])
+        d += 0.0
+
+    _by_channel(part, c, g.nbytes)
     return dx
 
 

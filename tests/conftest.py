@@ -7,7 +7,22 @@ independent of the reverse-mode engine it checks.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+import pytest
+
+
+@pytest.fixture
+def switch_often():
+    """Switch threads every microsecond while the test runs, so that work
+    dealt to threads interleaves as finely as it can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def numeric_grad(forward, tensor, h: float = 1e-5) -> np.ndarray:

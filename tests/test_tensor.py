@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chestkit import tensor as tensor_module
 from chestkit.rng import DetRng
 from chestkit.tensor import (
     ShapeError,
@@ -257,10 +258,12 @@ def test_upsample_conv2d_input_gradient_batched_matches_per_sample_bitwise(
 
 
 def deal_to(monkeypatch, workers):
-    """Every conv2d GEMM call with two or more units goes to ``workers``
-    threads, however little work it does."""
+    """Every conv2d GEMM call with two or more units, and every memory pass
+    (buffer fills, gradient scatters, quadrant sums, Adam's chunks), goes
+    to ``workers`` threads, however little work it does."""
     monkeypatch.setattr("chestkit.tensor._WORKERS", workers)
     monkeypatch.setattr("chestkit.tensor._SPLIT_FLOPS", 0)
+    monkeypatch.setattr("chestkit.tensor._SPLIT_BYTES", 0)
 
 
 def within(seconds, fn):
@@ -300,8 +303,8 @@ def conv_bytes_and_nodes(upsample):
 @pytest.mark.parametrize("upsample", [False, True])
 @pytest.mark.parametrize("cols_bytes", [None, *SMALL_COLS_BYTES])
 def test_conv2d_on_two_workers_byte_equal_to_one(cols_bytes, upsample, monkeypatch):
-    # the dw taps are always split; the forward and dx blocks are split at
-    # the small buffer sizes, where each takes several
+    # the dw taps and the memory passes are always split; the forward and
+    # dx blocks are split at the small buffer sizes, where each takes several
     if cols_bytes is not None:
         monkeypatch.setattr("chestkit.tensor._COLS_BYTES", cols_bytes)
     results = []
@@ -324,6 +327,109 @@ def test_conv2d_batched_matches_per_sample_bitwise_on_two_workers(
     check_conv2d_input_gradient_batch_invariance(upsample)
 
 
+@pytest.mark.parametrize("upsample", [False, True])
+def test_conv2d_on_more_workers_than_cores(upsample, monkeypatch, switch_often):
+    # four workers switched every microsecond: a block, tap or channel slab
+    # lost, run twice or written past its slice would change the bytes
+    monkeypatch.setattr("chestkit.tensor._COLS_BYTES", 1)
+    deal_to(monkeypatch, 1)
+    want = conv_bytes_and_nodes(upsample)
+    deal_to(monkeypatch, 4)
+    for _ in range(3):
+        got = []
+        within(60, lambda: got.append(conv_bytes_and_nodes(upsample)))
+        assert got == [want]
+
+
+class NanEmpty:
+    """numpy, except that ``empty`` hands out memory full of NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan, *args, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("upsample", [False, True])
+def test_conv2d_reads_no_memory_it_did_not_write(upsample, workers, monkeypatch):
+    # dw and the quadrant sum's output and temporary come from np.empty
+    # and are written slab by slab or tap by tap; a NaN left in one that
+    # reached a result would change its bytes
+    deal_to(monkeypatch, workers)
+    want = conv_bytes_and_nodes(upsample)
+    monkeypatch.setattr("chestkit.tensor.np", NanEmpty())
+    assert conv_bytes_and_nodes(upsample) == want
+
+
+@pytest.mark.parametrize("upsample", [False, True])
+def test_conv2d_memory_passes_run_on_the_workers(upsample, monkeypatch):
+    # the buffer fill of the forward, and in backward the fill again (with
+    # upsample), the gc scatter, the gz spread and the quadrant sum: each
+    # pass is one contiguous channel slab per worker, never on the caller
+    deal_to(monkeypatch, 2)
+    caller = threading.current_thread()
+    by_channel = tensor_module._by_channel
+    passes = []
+
+    def spy(work, c, nbytes):
+        slabs = []
+
+        def recorded(s):
+            slabs.append((threading.current_thread() is caller, s.start, s.stop))
+            work(s)
+
+        by_channel(recorded, c, nbytes)
+        passes.append((c, sorted(slabs)))
+
+    monkeypatch.setattr("chestkit.tensor._by_channel", spy)
+    conv_bytes_and_nodes(upsample)
+    # c_in 2 and c_out 3: fill, gc, gz, then the rebuilt fill and the
+    # quadrant sum with upsample
+    channels = [2, 3, 3, 2, 2] if upsample else [2, 3, 3]
+    assert sorted(c for c, _ in passes) == sorted(channels)
+    for c, slabs in passes:
+        assert slabs == [(False, 0, c // 2), (False, c // 2, c)]
+
+
+def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(monkeypatch):
+    # fill, gc, gz, the rebuilt fill and the quadrant sum each run once, on
+    # the caller, over all their channels
+    monkeypatch.setattr("chestkit.tensor._WORKERS", 2)
+    caller = threading.current_thread()
+    seen = []
+    by_channel = tensor_module._by_channel
+
+    def spy(work, c, nbytes):
+        def recorded(s):
+            seen.append((c, threading.current_thread() is caller, s.start, s.stop))
+            work(s)
+
+        by_channel(recorded, c, nbytes)
+
+    monkeypatch.setattr("chestkit.tensor._by_channel", spy)
+    want, _ = conv_bytes_and_nodes(True)
+    assert sorted(seen) == sorted((c, True, 0, c) for c in [2, 3, 3, 2, 2])
+    deal_to(monkeypatch, 2)
+    assert conv_bytes_and_nodes(True)[0] == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_upsample2x_backward_keeps_the_width_1_order_on_workers(workers, monkeypatch):
+    # 1 + 0 + 1e16 - 1e16 summed in sequence is 0, in pairs 1; each worker
+    # sums its own channels, so both orders must hold on either slab
+    deal_to(monkeypatch, workers)
+    g = np.array([[[[1.0, 0.0], [1e16, -1e16]]] * 4])
+    _, dx = input_grad(upsample2x, np.zeros((1, 4, 1, 1)), g)
+    assert dx.tobytes() == upsample2x_backward_brute(g).tobytes()
+    assert dx.tobytes() == np.zeros((1, 4, 1, 1)).tobytes()
+    wide = upsample_grad_case(2, 5, 6, 8, seed=26)
+    _, dx = input_grad(upsample2x, np.zeros((2, 5, 3, 4)), wide)
+    assert dx.tobytes() == upsample2x_backward_brute(wide).tobytes()
+
+
 def test_conv2d_workers_see_no_tape(monkeypatch):
     deal_to(monkeypatch, 2)
     caller = threading.current_thread()
@@ -333,7 +439,7 @@ def test_conv2d_workers_see_no_tape(monkeypatch):
         seen.append((threading.current_thread() is caller, _active_tape(), list(units)))
 
     with Tape() as tape:
-        _deal(work, range(5), 0)
+        _deal(work, range(5), True)
         assert _active_tape() is tape
     assert sorted(seen, key=lambda s: s[2]) == [(False, None, [0, 2, 4]),
                                                 (False, None, [1, 3])]
@@ -350,11 +456,11 @@ def test_conv2d_worker_exception_reaches_the_caller(monkeypatch):
         done.extend(units)
 
     with pytest.raises(ZeroDivisionError, match="unit 0"):
-        within(20, lambda: _deal(work, range(4), 0))
+        within(20, lambda: _deal(work, range(4), True))
     # the caller waited for the other worker, and the pool still runs work
     assert done == [1, 3]
     done.clear()
-    within(20, lambda: _deal(work, [1, 3], 0))
+    within(20, lambda: _deal(work, [1, 3], True))
     assert sorted(done) == [1, 3]
 
 

@@ -8,7 +8,7 @@ import pytest
 from chestkit import training
 from chestkit.models import ModelConfig, ParamStore, build_model, save_weights
 from chestkit.rng import DetRng
-from chestkit.tensor import Tape, Tensor, apply_op
+from chestkit.tensor import ShapeError, Tape, Tensor, apply_op
 from chestkit.training import (
     CROSS_ENTROPY_CLAMP,
     LR_DECAY_EVERY,
@@ -192,6 +192,101 @@ def test_adam_two_identical_runs_bit_identical():
         results.append((store["p0"].data.copy(), store["p1"].data.copy()))
     assert np.array_equal(results[0][0], results[1][0])
     assert np.array_equal(results[0][1], results[1][1])
+
+
+def adam_oracle(params, grads, m, v, t, lr):
+    """One Adam step as a whole-array formula per parameter, in place."""
+    bc1 = 1.0 - training.ADAM_BETA1 ** t
+    bc2 = 1.0 - training.ADAM_BETA2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= training.ADAM_BETA1
+        m[name] += (1.0 - training.ADAM_BETA1) * g
+        v[name] *= training.ADAM_BETA2
+        v[name] += (1.0 - training.ADAM_BETA2) * (g * g)
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + training.ADAM_EPS)
+
+
+def adam_shapes():
+    chunk = training._ADAM_CHUNK
+    # a 0-d parameter, sizes around the block edge, and a kernel that
+    # spans two blocks
+    return [(), (1,), (chunk - 1,), (chunk,), (chunk + 1,), (160, 32, 3, 3)]
+
+
+def adam_store(values):
+    """``make_store``, except that a 0-d value stays 0-d: ``Tensor`` makes
+    a 0-d array shape (1,), so that parameter's array is set afterwards."""
+    store = make_store(values)
+    for name, v in zip(store.names(), values):
+        if np.ndim(v) == 0:
+            store[name].data = np.asarray(v, dtype=float)
+    return store
+
+
+def adam_gradient(rng, shape, scale):
+    """A normal draw; a 4-D one is laid out as conv2d's ``dw`` is, a
+    strided view of [kH*kW, C_out, C_in]."""
+    g = rng.normal(int(np.prod(shape))) * scale
+    if len(shape) == 4:
+        c_out, c_in, kh, kw = shape
+        return g.reshape(kh * kw, c_out, c_in).transpose(1, 2, 0).reshape(shape)
+    return g.reshape(shape)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_adam_step_byte_equal_to_whole_array_oracle(workers, monkeypatch, switch_often):
+    # every update is dealt to the workers (four is more than the cores
+    # here), chunk by chunk, with threads switched every microsecond
+    monkeypatch.setattr("chestkit.tensor._WORKERS", workers)
+    monkeypatch.setattr("chestkit.tensor._SPLIT_BYTES", 0)
+    rng = DetRng(91)
+    shapes = adam_shapes()
+    store = adam_store([rng.normal(int(np.prod(s))).reshape(s) for s in shapes])
+    want = {name: p.data.copy() for name, p in store.items()}
+    assert store["p0"].data.shape == ()
+    m = {name: np.zeros_like(p) for name, p in want.items()}
+    v = {name: np.zeros_like(p) for name, p in want.items()}
+    state = AdamState()
+    for t in range(1, 5):
+        # gradients over many orders of magnitude, so any change in the
+        # order of operations shows in the last bits
+        grads = {name: adam_gradient(rng, p.shape, 10.0 ** (t * 3 - 6))
+                 for name, p in want.items()}
+        assert not grads["p5"].flags.c_contiguous
+        adam_step(store, {name: g.copy(order="K") for name, g in grads.items()}, state,
+                  lr=1e-3 * t)
+        adam_oracle(want, grads, m, v, t, lr=1e-3 * t)
+        for name in want:
+            assert store[name].data.tobytes() == want[name].tobytes(), (t, name)
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+    assert state.step == 4
+
+
+@pytest.mark.parametrize("fault,error", [("missing", KeyError), ("wrong-shape", ShapeError)])
+def test_adam_rejected_gradients_leave_everything_untouched(fault, error, monkeypatch):
+    # the last parameter's gradient is at fault, so a check made while
+    # updating would already have written the others
+    monkeypatch.setattr("chestkit.tensor._WORKERS", 2)
+    monkeypatch.setattr("chestkit.tensor._SPLIT_BYTES", 0)
+    shapes = adam_shapes()
+    store = adam_store([np.full(s, 0.5) for s in shapes])
+    state = AdamState()
+    adam_step(store, {name: np.full(p.shape, 0.25) for name, p in store.items()}, state, lr=0.1)
+    before = [(p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes())
+              for name, p in store.items()]
+    grads = {name: np.ones(p.shape) for name, p in store.items()}
+    last = store.names()[-1]
+    if fault == "missing":
+        del grads[last]
+    else:
+        grads[last] = np.ones((160, 32, 9))   # the kernel's size, not its shape
+    with pytest.raises(error, match=last):
+        adam_step(store, grads, state, lr=0.1)
+    assert state.step == 1
+    assert [(p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes())
+            for name, p in store.items()] == before
 
 
 # ---------------------------------------------------------------------------
