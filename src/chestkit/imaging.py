@@ -104,7 +104,7 @@ def save_image(image: np.ndarray) -> bytes:
 
 def save_mask(mask: np.ndarray) -> bytes:
     """Persist a boolean mask as a 0/255 PGM."""
-    return save_image(np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8))
+    return save_image(np.multiply(np.asarray(mask, dtype=bool), 255, dtype=np.uint8))
 
 
 def load_mask(data: bytes) -> np.ndarray:

@@ -252,19 +252,35 @@ def lr_schedule(cfg: TrainConfig, epoch: int) -> float:
 # normalization and augmentation
 
 
+def _minmax_into(image: np.ndarray, out: np.ndarray) -> None:
+    # min and max are read on the input's dtype: the cast to float64 keeps
+    # order, so they cast to the min and max of the float64 copy, and
+    # (x - lo) / (hi - lo) runs in float64 as on that copy, with no copy
+    lo, hi = float(image.min()), float(image.max())
+    if hi == lo:
+        out.fill(0.0)
+        return
+    np.subtract(image, lo, out=out, dtype=np.float64)
+    out /= hi - lo
+
+
 def minmax_normalize(image: np.ndarray) -> np.ndarray:
     """(x - min) / (max - min) as float64; a constant image maps to zeros."""
-    img = np.asarray(image, dtype=np.float64)
-    lo = img.min()
-    hi = img.max()
-    if hi == lo:
-        return np.zeros_like(img)
-    return (img - lo) / (hi - lo)
+    img = np.asarray(image)
+    out = np.empty(img.shape)
+    _minmax_into(img, out)
+    return out
 
 
 def to_batch(images: list[np.ndarray]) -> Tensor:
     """Min-max normalise each image and stack them to ``[B, 1, H, W]``."""
-    return Tensor(np.stack([minmax_normalize(img)[None] for img in images]))
+    arrays = [np.asarray(img) for img in images]
+    if len({a.shape for a in arrays}) != 1:
+        np.stack(arrays)    # raises numpy's error for no images or mixed shapes
+    out = np.empty((len(arrays), 1) + arrays[0].shape)
+    for img, slot in zip(arrays, out):
+        _minmax_into(img, slot[0])
+    return Tensor(out)
 
 
 # perfbench's tracer wraps train's batching by this name; without it training.batch_s reads 0
@@ -410,13 +426,18 @@ class EpochRecord:
     clamped: float | None = None
 
 
-def _divergence(loss: Tensor, grads: dict[str, np.ndarray],
+def _divergence(loss: Tensor, grads: dict[str, np.ndarray], squares: list[float],
                 picked: np.ndarray | None) -> str | None:
-    """Why a batch diverged, or None; reads values only."""
+    """Why a batch diverged, or None; reads values only.
+
+    ``squares`` holds each gradient's sum of squares, in the order of
+    ``grads``. A finite one means every entry is finite, so only a
+    gradient whose sum is not finite is scanned: it may be finite
+    entries whose squares overflow."""
     if not math.isfinite(loss.item()):
         return f"loss is {loss.item()}"
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
+    for (name, g), square in zip(grads.items(), squares):
+        if not math.isfinite(square) and not np.isfinite(g).all():
             return f"gradient of {name} is not finite"
     if picked is not None:
         clamped = picked <= CROSS_ENTROPY_CLAMP
@@ -485,12 +506,13 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig,
             picked = None
             if cfg.loss == "cross_entropy":
                 picked = out.data[np.arange(len(idx)), labels]
-            reason = _divergence(loss, grads, picked)
+            squares = [float(np.vdot(g, g)) for g in grads.values()]
+            reason = _divergence(loss, grads, squares, picked)
             if reason is not None:
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}, batch "
                     f"{start // cfg.batch_size}: {reason}")
-            grad_norms += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+            grad_norms += math.sqrt(sum(squares))
             adam_step(model.params, grads, state, lr)
             del grads, grads_by_tensor   # spent: free them before the next forward
             epoch_loss += loss.item()

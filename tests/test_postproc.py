@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chestkit import synthdata
+from chestkit import postproc, synthdata
 from chestkit.postproc import (
     InfectionReport,
     OracleSegmenter,
@@ -599,6 +599,74 @@ def test_adaptive_threshold_property(roi, half_window, dyadic, offset, seed):
                           adaptive_brute(img, roi, window, offset))
 
 
+@settings(max_examples=150, deadline=None)
+@given(drawn_masks(), st.integers(1, 25),
+       st.one_of(st.sampled_from((-2.0, 0.0, 1.0, 5.0)),
+                 st.floats(-300.0, 300.0, allow_nan=False)),
+       st.integers(0, 2 ** 31))
+@example(random_mask(5, 1, 23), 3, 0.0, 7)
+@example(random_mask(6, 23, 1), 2, 1.0, 8)
+@example(random_mask(7, 1, 1), 1, -2.0, 9)
+def test_adaptive_threshold_packed_equals_float_path(roi, half_window, offset, seed):
+    # uint8 takes the packed int64 table, its float64 copy the two tables
+    h, w = roi.shape
+    img = (DetRng(seed).random(h * w).reshape(h, w) * 256).astype(np.uint8)
+    window = 2 * half_window + 1
+    assert np.array_equal(adaptive_threshold(img, roi, window, offset),
+                          adaptive_threshold(img.astype(np.float64), roi, window, offset))
+
+
+def count_cumsum_calls(monkeypatch):
+    calls = []
+    cumsum = np.cumsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].dtype)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    return calls
+
+
+def test_adaptive_threshold_uint8_takes_one_packed_table(monkeypatch):
+    img = DetRng(40).integers(30 * 20, 256).reshape(30, 20).astype(np.uint8)
+    roi = random_mask(41, 30, 20, density=0.7)
+    want = adaptive_brute(img, roi, 7, 2.0)
+    calls = count_cumsum_calls(monkeypatch)
+    assert np.array_equal(adaptive_threshold(img, roi, 7, 2.0), want)
+    assert calls == [np.int64, np.int64]
+    calls.clear()
+    assert np.array_equal(adaptive_threshold(img.astype(np.float64), roi, 7, 2.0), want)
+    assert calls == [np.int64, np.int64, np.float64, np.float64]
+    # past the packing bound a uint8 image takes the two tables too
+    calls.clear()
+    monkeypatch.setattr(postproc, "_packing_shift", lambda size: None)
+    assert np.array_equal(adaptive_threshold(img, roi, 7, 2.0), want)
+    assert calls == [np.int64, np.int64, np.float64, np.float64]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 255, 73441, 2 ** 20, 2 ** 27 - 1, 2 ** 27,
+                                  2 ** 28 - 1, 11585 ** 2, 11586 ** 2, 2 ** 40])
+def test_packing_shift_keeps_every_packed_sum_exact(size):
+    shift = postproc._packing_shift(size)
+    if shift is None:
+        # refused only when the largest packed sum could pass int64
+        s = size.bit_length()
+        assert (255 * (2 ** s - 1) << s) + 2 ** s - 1 > 2 ** 63 - 1
+        return
+    # every count (at most ``size``) fits in the low bits, and the largest
+    # packed sum, every pixel 255 and in the roi, fits in int64
+    assert size < 2 ** shift
+    assert (255 * size << shift) + size <= 2 ** 63 - 1
+
+
+def test_packing_shift_bound_is_about_11k_a_side():
+    assert postproc._packing_shift(2 ** 27 - 1) == 27
+    assert postproc._packing_shift(2 ** 27) is None
+    assert postproc._packing_shift(11585 ** 2) is not None
+    assert postproc._packing_shift(11586 ** 2) is None
+
+
 # ---------------------------------------------------------------------------
 # quantification
 
@@ -702,6 +770,21 @@ def test_heatmap_leaves_unmasked_pixels_untouched():
     inside = mask
     assert np.array_equal(rgb[..., 0][inside],
                           ((img.astype(np.uint16) + 255) // 2)[inside].astype(np.uint8))
+
+
+@pytest.mark.parametrize("pattern", ["none", "all", "checker"])
+def test_heatmap_matches_uint16_formula_for_every_gray(pattern):
+    img = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    mask = {"none": np.zeros((16, 16), dtype=bool),
+            "all": np.ones((16, 16), dtype=bool),
+            "checker": (np.indices((16, 16)).sum(axis=0) % 2).astype(bool)}[pattern]
+    g16 = img.astype(np.uint16)
+    red = np.where(mask, (g16 + 255) // 2, g16).astype(np.uint8)
+    green_blue = np.where(mask, g16 // 2, g16).astype(np.uint8)
+    want = np.stack([red, green_blue, green_blue], axis=-1)
+    got = heatmap_overlay(img, mask)
+    assert got.dtype == np.uint8 and got.shape == (16, 16, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from chestkit.postproc import (
     infection_percentage,
     run_pipeline,
 )
+from chestkit.rng import DetRng, derive_seed
 from chestkit.synthdata import (
+    InfectionSample,
     SynthSpec,
-    exact_count_sample,
     gen_classification_set,
     gen_infection_set,
     gen_segmentation_set,
@@ -172,6 +173,41 @@ def test_infection_set_unchanged_under_flood_fill_labelling(monkeypatch):
         assert x.lung_mask.tobytes() == y.lung_mask.tobytes()
         assert x.infected_mask.tobytes() == y.infected_mask.tobytes()
         assert x.report == y.report
+
+
+def exact_count_sample(lung_pixels: int, infected_pixels: int, size: int,
+                       seed: int = 0) -> InfectionSample:
+    """Oracle sample whose masks have exactly the requested pixel counts.
+
+    Pixels are ranked by (distance from a fixed center, angle); the lung
+    mask is the first ``lung_pixels`` of that ranking and the infected
+    mask the first ``infected_pixels``, so containment is automatic and
+    both counts are exact.
+    """
+    if infected_pixels > lung_pixels:
+        raise ValueError("infected count cannot exceed lung count")
+    if lung_pixels > size * size:
+        raise ValueError(f"cannot fit {lung_pixels} pixels in a {size}x{size} image")
+    cy = cx = (size - 1) / 2.0
+    yy, xx = np.mgrid[0:size, 0:size]
+    dist = (yy - cy) ** 2 + (xx - cx) ** 2
+    angle = np.arctan2(yy - cy, xx - cx)
+    order = np.lexsort((angle.reshape(-1), dist.reshape(-1)))
+    lung = np.zeros(size * size, dtype=bool)
+    lung[order[:lung_pixels]] = True
+    infected = np.zeros(size * size, dtype=bool)
+    infected[order[:infected_pixels]] = True
+    lung = lung.reshape(size, size)
+    infected = infected.reshape(size, size)
+
+    rng = DetRng(derive_seed(seed, 404))
+    img = synthdata._textured_background(size, rng, synthdata.INFECTION_BG_LO,
+                                         synthdata.INFECTION_BG_HI)
+    img[lung] = synthdata.LUNG_BASE
+    img[infected] = synthdata.LUNG_BASE + synthdata.BLOB_GAIN
+    image = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    return InfectionSample(image=image, lung_mask=lung, infected_mask=infected,
+                           report=infection_percentage(lung, infected))
 
 
 def test_exact_count_sample_reenacts_published_numbers():

@@ -31,6 +31,7 @@ from chestkit.training import (
     minmax_normalize,
     rotate_nearest,
     split_dataset,
+    to_batch,
     train,
     transfer_init,
 )
@@ -330,6 +331,39 @@ def test_minmax_constant_image_maps_to_zero():
 def test_minmax_simple_triple():
     assert np.array_equal(minmax_normalize(np.array([10.0, 20.0, 30.0])),
                           [0.0, 0.5, 1.0])
+
+
+def minmax_reference(image):
+    img = np.asarray(image, dtype=np.float64)
+    lo, hi = img.min(), img.max()
+    return np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
+
+
+@pytest.mark.parametrize("kind", ["uint8", "float64", "float32", "int64", "constant"])
+def test_to_batch_matches_stacked_reference_byte_for_byte(kind):
+    rng = DetRng(42)
+    images = []
+    for _ in range(3):
+        values = rng.random(12 * 9).reshape(12, 9)
+        images.append({"uint8": (values * 256).astype(np.uint8),
+                       "float64": values * 7.5 - 3.0,
+                       "float32": (values * 3.0 - 1.0).astype(np.float32),
+                       "int64": (values * 1e6).astype(np.int64) - 500_000,
+                       "constant": np.full((12, 9), 9, dtype=np.uint8)}[kind])
+    images.append(np.full((12, 9), 200, dtype=images[0].dtype))
+    want = np.stack([minmax_reference(img)[None] for img in images])
+    got = to_batch(images)
+    assert got.shape == (4, 1, 12, 9) and got.data.dtype == np.float64
+    assert got.data.tobytes() == want.tobytes()
+    for img, row in zip(images, want):
+        assert minmax_normalize(img).tobytes() == row[0].tobytes()
+
+
+def test_to_batch_raises_like_stack():
+    with pytest.raises(ValueError, match="same shape"):
+        to_batch([np.zeros((4, 4)), np.zeros((4, 5))])
+    with pytest.raises(ValueError, match="at least one array"):
+        to_batch([])
 
 
 def test_augment_deterministic_per_seed():
@@ -645,8 +679,39 @@ def test_train_non_finite_gradient_raises():
     ([2e-12, 1.0], False),
 ])
 def test_divergence_clamp_rule(picked, stuck):
-    reason = _divergence(Tensor([0.5]), {"w": np.zeros(3)}, np.array(picked))
+    reason = _divergence(Tensor([0.5]), {"w": np.zeros(3)}, [0.0], np.array(picked))
     assert (reason is not None) == stuck
+
+
+class NanGradientModel:
+    """Constant probabilities with a finite gradient for ``a`` and a NaN
+    one for ``b``."""
+
+    def __init__(self):
+        self.params = ParamStore()
+        self.a = self.params.add("a", Tensor(np.zeros(2), requires_grad=True))
+        self.b = self.params.add("b", Tensor(np.zeros(2), requires_grad=True))
+
+    def forward(self, batch):
+        n = batch.shape[0]
+        return apply_op(np.full((n, 2), 0.5), (self.a, self.b),
+                        lambda g: (np.ones(2), np.array([0.0, np.nan])))
+
+
+def test_train_nan_gradient_is_named():
+    ds = two_class_dataset(4, seed=35)
+    with pytest.raises(TrainingDivergedError, match="gradient of b is not finite"):
+        train(NanGradientModel(), ds, TrainConfig(base_lr=1e-3, batch_size=2, epochs=1))
+
+
+def test_divergence_reads_sums_of_squares():
+    big = np.full(3, 1e200)          # finite, but its sum of squares overflows
+    squares = [float(np.vdot(big, big))]
+    assert squares == [math.inf]
+    assert _divergence(Tensor([0.5]), {"w": big}, squares, None) is None
+    grads = {"a": np.zeros(2), "b": np.array([np.inf, 1.0]), "c": np.array([np.nan])}
+    squares = [float(np.vdot(g, g)) for g in grads.values()]
+    assert _divergence(Tensor([0.5]), grads, squares, None) == "gradient of b is not finite"
 
 
 # ---------------------------------------------------------------------------
