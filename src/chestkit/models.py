@@ -307,7 +307,8 @@ class Nabla3:
         # decoder paths start at the bottleneck (stage 6) and stages 5 and 4;
         # a path starting at stage s needs s-1 steps, each a 3x3 conv over
         # the 2x upsample of the step before; conv2d fuses the upsample
-        # (upsample=True), so the tape keeps each step's input at its own size
+        # (upsample=True) as four 2x2 phase convs of the step's input, so no
+        # 4x map is made and the tape keeps the input at its own size
         self.decoders = []
         for d, start_stage in enumerate((6, 5, 4), start=1):
             steps = []

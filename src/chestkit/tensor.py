@@ -14,9 +14,10 @@ needs; it never holds its output.  So a forward intermediate that no
 closure saved (a conv's pre-activation, a relu output) is freed as soon
 as the forward drops it, and backward releases each node, closure and
 saved arrays included, once it has run.  A conv keeps its padded input
-buffer; ``conv2d(..., upsample=True)``, a conv over the 2x upsample of its
-input, keeps the quarter-size input instead and rebuilds the buffer in
-backward, so the 4x map is never held.
+buffer, and lets go of it once its weight gradient is made.
+``conv2d(..., upsample=True)``, a conv over the 2x upsample of its input,
+runs as four convs of the quarter-size input, one per output phase, so no
+4x map is ever made.
 
 Ops take batches: the spatial ops and ``concat_channels`` take
 [B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
@@ -35,13 +36,15 @@ process may run on, at most two.
 Its memory passes go to the same pool, one contiguous channel slab per
 worker, when the pass's largest array has at least ``_SPLIT_BYTES``: the
 copies into the padded buffers of the input and of the output gradient
-(``_padded``) and ``_sum_quadrants``.  ``deal_memory`` offers the same
-rule to other modules; ``training.adam_step`` deals its blocks of
-parameter rows through it.  These passes call no BLAS, and their large
-arrays are made on the calling thread.  Each unit of work keeps its
-shape and operands and writes only its own slice of the output, so every
-byte is the same as on one thread, whatever the worker count; numpy
-releases the GIL in ``matmul``, in array copies and in arithmetic.
+(``_padded``), and with ``upsample`` the making of the phase kernels and
+the fold of ``dw``'s phase taps; ``upsample2x`` deals ``_sum_quadrants``
+the same way.  ``deal_memory`` offers the same rule to other modules;
+``training.adam_step`` deals its blocks of parameter rows through it.
+The large arrays of these passes are made on the calling thread.  Each
+unit of work keeps its shape and operands and writes only its own slice
+of the output, so every byte is the same as on one thread, whatever the
+worker count; numpy releases the GIL in ``matmul``, in array copies and
+in arithmetic.
 Workers run numpy only: the tape belongs to the calling thread and they
 never record.  The pool starts on first use, and a forked child starts a
 pool of its own.
@@ -366,29 +369,31 @@ def _by_channel(work: Callable[[slice], None], c: int, nbytes: int) -> None:
           list(zip(bounds, bounds[1:])), True)
 
 
-def _padded(shape: tuple[int, ...], as_maps: Callable[[np.ndarray], np.ndarray],
-            src: np.ndarray, top: int, left: int, upsample: bool = False) -> np.ndarray:
-    """``np.zeros(shape)`` whose channel-first view ``as_maps(buf)``, [C, B,
-    H, W], holds ``src`` [C, B, h, w], or its 2x upsample, at (top, left).
-    ``_by_channel`` deals the copy."""
+def _padded(shape: tuple[int, ...], as_maps: Callable[[np.ndarray], Sequence[np.ndarray]],
+            places: Sequence[tuple[np.ndarray, int, int]]) -> np.ndarray:
+    """``np.zeros(shape)`` that holds each ``(src, top, left)`` of ``places``,
+    ``src`` [C, B, h, w], at (top, left) of the matching channel-first view
+    of ``as_maps(buf)``, [C, B, H, W]; rows and columns of ``src`` that
+    fall outside the view are left out.  ``_by_channel`` deals the copies."""
     buf = np.zeros(shape)
-    maps = as_maps(buf)
-    h, w = src.shape[2:]
-    if upsample:
-        h, w = 2 * h, 2 * w
-    inner = maps[..., top:top + h, left:left + w]
-    views = _quadrants(inner) if upsample else (inner,)
+    copies = []
+    for maps, (src, top, left) in zip(as_maps(buf), places):
+        (h, w), (hb, wb) = src.shape[2:], maps.shape[2:]
+        i0, j0 = max(0, -top), max(0, -left)
+        i1, j1 = max(i0, min(h, hb - top)), max(j0, min(w, wb - left))
+        copies.append((maps[..., top + i0:top + i1, left + j0:left + j1],
+                       src[..., i0:i1, j0:j1]))
 
     def part(s):
-        for view in views:
+        for view, src in copies:
             view[s] = src[s]
 
-    _by_channel(part, len(maps), buf.nbytes)
+    _by_channel(part, len(copies[0][0]), buf.nbytes)
     return buf
 
 
 def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
-                 oh: int, ow: int) -> np.ndarray:
+                 oh: int, ow: int, emit: Callable | None = None) -> np.ndarray | None:
     """``wmat @ im2col(xp)`` as [B, M, oh*ow], for ``xp`` [B, C, H, W] and
     ``wmat`` [M, C*kh*kw].
 
@@ -403,16 +408,23 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
     independent of the rest of the batch to the last bit.  For 1x1 kernels
     the columns are ``xp`` itself as a reshape: on conv2d's channel-major
     buffer, a strided view of [C, H*W] matrices that BLAS reads in place.
+
+    With ``emit`` nothing is returned and no [B, M, oh*ow] array is made:
+    the product of samples s.. and output rows i.., [n, M, r*ow], goes to
+    ``emit(s, i, product)`` from a buffer of the worker's own, and
+    ``emit`` must write it to its own place.
     """
     b, c = xp.shape[:2]
+    m = wmat.shape[0]
     if kh == kw == 1:
-        return np.matmul(wmat, xp.reshape(b, c, oh * ow))
+        product = np.matmul(wmat, xp.reshape(b, c, oh * ow))
+        return product if emit is None else emit(0, 0, product)
+    out = np.empty((b, m, oh * ow)) if emit is None else None
     k = c * kh * kw
-    out = np.empty((b, wmat.shape[0], oh * ow))
     # [B, C, kh, kw, oh, ow]: the columns of every sample, as a view
     windows = np.lib.stride_tricks.sliding_window_view(
         xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-    row_bytes = k * ow * out.itemsize
+    row_bytes = k * ow * wmat.itemsize
     if row_bytes * oh <= _COLS_BYTES:
         samples, rows = min(b, _COLS_BYTES // (row_bytes * oh)), oh
     else:
@@ -420,15 +432,20 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
 
     def blocks(starts):
         buf = np.empty(samples * k * rows * ow)
+        products = None if emit is None else np.empty(samples * m * rows * ow)
         for s, i in starts:
             n, r = min(samples, b - s), min(rows, oh - i)
             cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
             cols[...] = windows[s:s + n, :, :, :, i:i + r]
-            np.matmul(wmat, cols.reshape(n, k, r * ow),
-                      out=out[s:s + n, :, i * ow:(i + r) * ow])
+            if emit is None:
+                np.matmul(wmat, cols.reshape(n, k, r * ow),
+                          out=out[s:s + n, :, i * ow:(i + r) * ow])
+            else:
+                product = products[:n * m * r * ow].reshape(n, m, r * ow)
+                emit(s, i, np.matmul(wmat, cols.reshape(n, k, r * ow), out=product))
 
     _deal(blocks, [(s, i) for s in range(0, b, samples) for i in range(0, oh, rows)],
-          2 * out.size * k >= _SPLIT_FLOPS)
+          2 * b * m * oh * ow * k >= _SPLIT_FLOPS)
     return out
 
 
@@ -437,7 +454,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     """2-D cross-correlation at stride 1 with zero padding; ``kernels`` is
     [C_out, C_in, kH, kW], ``bias`` [C_out], output H + 2*padding - kH + 1.
     With ``upsample`` the input [B, C, h, w] stands for its nearest-neighbour
-    2x upsample [B, C, 2h, 2w], bit for bit ``conv2d(upsample2x(x), ...)``.
+    2x upsample [B, C, 2h, 2w]: ``conv2d(upsample2x(x), ...)`` in sub-pixel
+    form (``_upsample_conv2d``).
 
     The input is padded once into a channel-major buffer ``xc``, [C_in,
     B*Hp*Wp + (kH-1)*Wp + kW-1]: sample s, padded pixel (i, j) is column
@@ -445,18 +463,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     ``_conv_matmul`` of the kernels and ``xc``: im2col columns built and
     multiplied one block of whole samples, or of one sample's rows, at a
     time, so each sample's output is independent of the batch.
-    ``dw[:, :, a, b]`` is one GEMM over the batch: the output gradient,
-    laid out like ``xc`` and zero outside each oh x ow corner, times ``xc``
-    shifted by a*Wp + b; columns that wrap into the next row or sample
-    meet those zeros.  ``dx`` correlates the output gradient with the
-    flipped, channel-swapped kernels through ``_conv_matmul`` too, and
-    with ``upsample`` goes through ``_sum_quadrants``; it is None for an
-    input that neither requires grad nor was recorded.  The closure
-    retains only ``xc``.  With ``upsample`` the upsample is written straight
-    into ``xc``'s four interior quadrants, so the 4x map is never made, and
-    the closure retains the quarter-size input instead, rebuilding ``xc``
-    for the ``dw`` GEMMs.  A 1x1 conv of one sample with no padding uses the
-    input itself as ``xc``, since it has that layout already.
+    ``dw[:, :, a, b]`` is one GEMM over the batch (``_tap_grads``): the
+    output gradient, laid out like ``xc`` and zero outside each oh x ow
+    corner, times ``xc`` shifted by a*Wp + b; columns that wrap into the
+    next row or sample meet those zeros.  ``dx`` correlates the output
+    gradient with the flipped, channel-swapped kernels through
+    ``_conv_matmul`` too; it is None for an input that neither requires
+    grad nor was recorded.  The closure retains only ``xc``, and lets go of
+    it once ``dw`` is made.  A 1x1 conv of one sample with no padding uses
+    the input itself as ``xc``, since it has that layout already.
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
@@ -473,60 +488,256 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     if c != c_in:
         raise ShapeError(
             f"conv2d: kernels expect {c_in} input channels, input has {c}")
-    if upsample:
-        h, w = 2 * h, 2 * w
-    hp, wp = h + 2 * padding, w + 2 * padding
+    scale = 2 if upsample else 1
+    hp, wp = scale * h + 2 * padding, scale * w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
+    if upsample:
+        return _upsample_conv2d(x, xd, kernels, bias, padding, single)
     oh, ow = hp - kh + 1, wp - kw + 1
     n = b * hp * wp
     tail = (kh - 1) * wp + kw - 1
-
-    def fill(src):
-        # xc for src; one unpadded sample under a 1x1 kernel is xc already
-        if b == 1 and padding == 0 and tail == 0 and not upsample:
-            return src[0].reshape(c, n)
-        return _padded((c, n + tail), lambda a: a[:, :n].reshape(c, b, hp, wp),
-                       src.transpose(1, 0, 2, 3), padding, padding, upsample)
-
-    xc = fill(xd)
+    if b == 1 and padding == 0 and tail == 0:
+        xc = xd[0].reshape(c, n)   # one unpadded sample under a 1x1 kernel
+    else:
+        xc = _padded((c, n + tail), lambda a: [a[:, :n].reshape(c, b, hp, wp)],
+                     [(xd.transpose(1, 0, 2, 3), padding, padding)])
     xp = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)
     out = _conv_matmul(kernels.data.reshape(c_out, c_in * kh * kw), xp, kh, kw, oh, ow)
     out += bias.data[:, None]
     out = out.reshape(b, c_out, oh, ow)
     need_dx = x.requires_grad or x._tape is not None
-    saved = xd if upsample else xc   # the quarter-size map, not its 4x buffer
 
     def backward(g):
+        nonlocal xc
         g = g.reshape(b, c_out, oh, ow)
-        gc = _padded((c_out, n), lambda a: a.reshape(c_out, b, hp, wp),
-                     g.transpose(1, 0, 2, 3), 0, 0)
-        xc = fill(saved) if upsample else saved
-        dw = np.empty((kh * kw, c_out, c_in))
-
-        def taps(part):
-            for tap in part:
-                shift = (tap // kw) * wp + tap % kw
-                np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
-
-        _deal(taps, range(kh * kw), 2 * dw.size * n >= _SPLIT_FLOPS)
-        del gc, xc
+        gt = g.transpose(1, 0, 2, 3)
+        gc = _padded((c_out, n), lambda a: [a.reshape(c_out, b, hp, wp)], [(gt, 0, 0)])
+        dw = _tap_grads(gc, xc, kh, kw, wp)
+        del gc
         dw = dw.transpose(1, 2, 0).reshape(kernels.shape)
         db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
         if not need_dx:
             return None, dw, db
+        # xc is read no more: the closure lets go of it before dx's buffers
+        # are made, so an input nothing else holds is freed in time (at
+        # 256 px, the head's 25 MB input makes room for its 25 MB dx)
+        xc = None
         # dx is the full correlation of the gradient, zero-padded by k-1,
-        # with the flipped kernels; the crop drops the rows and columns
-        # that fall on the input's zero padding
-        gz = _padded((b, c_out, hp + kh - 1, wp + kw - 1), lambda a: a.transpose(1, 0, 2, 3),
-                     g.transpose(1, 0, 2, 3), kh - 1, kw - 1)
-        gz = gz[:, :, padding:padding + h + kh - 1, padding:padding + w + kw - 1]
+        # with the flipped kernels; the rows and columns that fall on the
+        # input's zero padding are left out
+        gz = _padded((b, c_out, h + kh - 1, w + kw - 1), lambda a: [a.transpose(1, 0, 2, 3)],
+                     [(gt, kh - 1 - padding, kw - 1 - padding)])
         wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
                           kh, kw, h, w).reshape(b, c_in, h, w)
-        if upsample:
-            dx = _sum_quadrants(dx)
+        return (dx[0] if single else dx), dw, db
+
+    return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)
+
+
+def _tap_grads(gc: np.ndarray, xc: np.ndarray, kh: int, kw: int, wp: int) -> np.ndarray:
+    """[kh*kw, M, C]: tap (a, b) is ``gc`` [M, n] times the transpose of
+    ``xc`` [C, n + tail] shifted by a*wp + b, one GEMM a tap; ``_deal``
+    shares the taps."""
+    n = gc.shape[1]
+    dw = np.empty((kh * kw, gc.shape[0], xc.shape[0]))
+
+    def taps(part):
+        for tap in part:
+            shift = (tap // kw) * wp + tap % kw
+            np.matmul(gc, xc[:, shift:shift + n].T, out=dw[tap])
+
+    _deal(taps, range(kh * kw), 2 * dw.size * n >= _SPLIT_FLOPS)
+    return dw
+
+
+# bytes of row sums that _phase_kernels makes at once
+_KERNEL_BLOCK_BYTES = 1 << 18
+
+
+def _phase_axis(n: int, k: int, p: int):
+    """One axis of a size-``k``, padding-``p`` conv over the 2x upsample of
+    ``n`` input pixels, split by output phase r (output 2i + r) into two
+    convs of the input itself.
+
+    Upsampled tap a of output 2i + r reads input i + (r + a - p) // 2.
+    With m = (r - p) % 2 that is tap (a + m) // 2 of a phase window that
+    starts at input i + (r - p) // 2, so at most two taps share a phase tap.
+    Returns ``(kq, lo, size, starts, counts, fold)``: ``kq`` phase
+    taps, with zero taps at the end of a phase that has fewer; the input
+    sits at ``lo`` on a zero-padded axis of ``size``, over which phase r's
+    outputs are windows ``starts[r]`` to ``starts[r] + counts[r] - 1``;
+    and ``fold[r][a]`` is the phase tap of tap a.
+    """
+    m = [(r - p) % 2 for r in (0, 1)]
+    kq = max((k - 1 + mr) // 2 for mr in m) + 1
+    lo = (p + 1) // 2
+    starts = [(r - p) // 2 + lo for r in (0, 1)]
+    o = 2 * n + 2 * p - k + 1
+    counts = [(o - r + 1) // 2 for r in (0, 1)]
+    size = max(lo + n, max(s + c for s, c in zip(starts, counts)) + kq - 1)
+    fold = [[(a + mr) // 2 for a in range(k)] for mr in m]
+    return kq, lo, size, starts, counts, fold
+
+
+def _phase_kernels(k: np.ndarray, fold_h: list, fold_w: list, flip: bool = False) -> np.ndarray:
+    """The phase kernels of ``k`` [C_out, C_in, kH, kW], [C_out, 2, 2, C_in,
+    kqh, kqw]: tap (t, u) of phase (r, s) is ``(k[a0, b0] + k[a1, b0]) +
+    (k[a0, b1] + k[a1, b1])`` over the taps a with ``fold_h[r][a] == t``
+    and b with ``fold_w[s][b] == u``.  With ``flip`` each phase's taps are
+    reversed and the layout is [C_in, C_out, 2, 2, kqh, kqw], as ``dx``
+    multiplies them.
+
+    Two GEMMs with 0/1 matrices form the sums, the rows' and then the
+    columns': each product is exact and each sum has at most two terms
+    that are not zero, so no order of summation changes a bit, and both
+    layouts hold the same values.  They run a block of channels at a time,
+    output channels (input channels with ``flip``) whose row sums take
+    about ``_KERNEL_BLOCK_BYTES``, so ``k`` is read once, in place, and
+    the row sums stay in cache; ``_by_channel`` deals the blocks.
+    """
+    c_out, c_in, kh, kw = k.shape
+    kqh, kqw = max(map(max, fold_h)) + 1, max(map(max, fold_w)) + 1
+    # tap (a, b) to row sum (r, t, b), and row sum (r, t, b) to phase tap
+    # (r, s, t, u), t and u reversed with flip
+    to_rows = np.zeros((kh, kw, 2, kqh, kw))
+    to_phases = np.zeros((2, kqh, kw, 2, 2, kqh, kqw))
+    for r in (0, 1):
+        for a, t in enumerate(fold_h[r]):
+            to_rows[a, :, r, t] = np.eye(kw)
+        for s in (0, 1):
+            for b, u in enumerate(fold_w[s]):
+                for t in range(kqh):
+                    if flip:
+                        to_phases[r, t, b, r, s, kqh - 1 - t, kqw - 1 - u] = 1.0
+                    else:
+                        to_phases[r, t, b, r, s, t, u] = 1.0
+    width = 2 * kqh * kw
+    to_rows = to_rows.reshape(kh * kw, width)
+    taps = k.reshape(c_out, c_in, kh * kw)
+    if flip:
+        out = np.empty((c_in, c_out, 2, 2, kqh, kqw))
+        to_phases = to_phases.reshape(width, -1)
+        step = max(1, _KERNEL_BLOCK_BYTES // (c_out * width * k.itemsize))
+
+        def part(ch):
+            for lo in range(ch.start, ch.stop, step):
+                hi = min(lo + step, ch.stop)
+                rows = np.matmul(taps[:, lo:hi].transpose(1, 0, 2), to_rows)
+                np.matmul(rows.reshape(-1, width), to_phases,
+                          out=out[lo:hi].reshape(-1, to_phases.shape[1]))
+
+        _by_channel(part, c_in, k.nbytes)
+        return out
+    out = np.empty((c_out, 2, 2, c_in, kqh, kqw))
+    to_phases = to_phases.reshape(width, 2, 2, kqh * kqw)
+    step = max(1, _KERNEL_BLOCK_BYTES // (c_in * width * k.itemsize))
+
+    def part(ch):
+        for lo in range(ch.start, ch.stop, step):
+            hi = min(lo + step, ch.stop)
+            rows = np.matmul(taps[lo:hi].reshape(-1, kh * kw), to_rows)
+            rows = rows.reshape(hi - lo, c_in, width)
+            for r in (0, 1):
+                for s in (0, 1):
+                    np.matmul(rows, to_phases[:, r, s],
+                              out=out[lo:hi, r, s].reshape(hi - lo, c_in, kqh * kqw))
+
+    _by_channel(part, c_out, k.nbytes)
+    return out
+
+
+def _upsample_conv2d(x: Tensor, xd: np.ndarray, kernels: Tensor, bias: Tensor,
+                     padding: int, single: bool) -> Tensor:
+    """``conv2d(x, kernels, bias, padding, upsample=True)`` for ``xd``
+    [B, C_in, h, w], the batch of ``x``: output pixel (2i + r, 2j + s) is
+    phase (r, s), a conv of ``xd`` itself with kernels that sum the taps
+    landing on one input pixel (``_phase_axis``).  For a 3x3 kernel with
+    padding 1 the phase kernels are 2x2, with rows ``[k0, k1 + k2]`` for
+    r = 0 and ``[k0 + k1, k2]`` for r = 1, and columns alike: 4/9 of the
+    GEMM work, on im2col columns of the quarter-size map.
+
+    ``xc`` is ``xd`` padded as ``_phase_axis`` says, laid out as in
+    ``conv2d``.  The forward is ``_conv_matmul`` of the four phase kernels
+    stacked, [C_out*4, C_in*kqh*kqw], over ``xc``; each block of its
+    product goes straight to ``out[..., r::2, s::2]``, plus the bias, so
+    no phase-major copy of the output is made.  In backward the four
+    phases' gradients are stacked the same way, each at the place of its
+    windows: ``dw`` is ``_tap_grads`` of that over ``xc``, one GEMM per
+    phase tap for all four phases, and each kernel tap is then the sum of
+    the four phase taps it went into.  ``dx`` is one ``_conv_matmul`` of
+    the stacked gradient, zero-padded by kq-1, with the flipped phase
+    kernels, at quarter size.  The closure keeps only ``xc``, as
+    ``conv2d`` does; the phase kernels are made again in backward,
+    flipped.  Results differ from ``conv2d(upsample2x(x), ...)`` only in
+    the rounding of sums grouped differently: they are equal on integer
+    data.
+    """
+    c_out, c_in, kh, kw = kernels.shape
+    b, _, h, w = xd.shape
+    kqh, top, hp, rows, row_counts, fold_h = _phase_axis(h, kh, padding)
+    kqw, left, wp, cols, col_counts, fold_w = _phase_axis(w, kw, padding)
+    oh, ow = 2 * h + 2 * padding - kh + 1, 2 * w + 2 * padding - kw + 1
+    n = b * hp * wp
+    xc = _padded((c_in, n + (kqh - 1) * wp + kqw - 1),
+                 lambda a: [a[:, :n].reshape(c_in, b, hp, wp)],
+                 [(xd.transpose(1, 0, 2, 3), top, left)])
+    xp = xc[:, :n].reshape(c_in, b, hp, wp).transpose(1, 0, 2, 3)
+    wh, ww = hp - kqh + 1, wp - kqw + 1
+    phases = [(r, s) for r in (0, 1) for s in (0, 1)]
+    out = np.empty((b, c_out, oh, ow))
+
+    def into_out(s0, i, product):
+        # window rows i.. of samples s0.., [n, C_out x 4 phases, r*ww]
+        product = product.reshape(len(product), c_out, 2, 2, -1, ww)
+        for r, s in phases:
+            first = max(i, rows[r])
+            last = min(i + product.shape[4], rows[r] + row_counts[r])
+            if first < last:
+                np.add(product[:, :, r, s, first - i:last - i, cols[s]:cols[s] + col_counts[s]],
+                       bias.data[:, None, None],
+                       out=out[s0:s0 + len(product), :,
+                               2 * (first - rows[r]) + r:2 * (last - rows[r]) + r:2, s::2])
+
+    wmat = _phase_kernels(kernels.data, fold_h, fold_w).reshape(4 * c_out, -1)
+    _conv_matmul(wmat, xp, kqh, kqw, wh, ww, into_out)
+    need_dx = x.requires_grad or x._tape is not None
+
+    def backward(g):
+        nonlocal xc
+        g = g.reshape(b, c_out, oh, ow)
+        by_phase = [g[:, :, r::2, s::2].transpose(1, 0, 2, 3) for r, s in phases]
+        gc = _padded((4 * c_out, n),
+                     lambda a: a.reshape(c_out, 4, b, hp, wp).transpose(1, 0, 2, 3, 4),
+                     [(gp, rows[r], cols[s]) for gp, (r, s) in zip(by_phase, phases)])
+        dq = _tap_grads(gc, xc, kqh, kqw, wp).reshape(kqh, kqw, c_out, 2, 2, c_in)
+        del gc
+        dw = np.empty((kh, kw, c_out, c_in))
+
+        def fold(ch):
+            for a, (t0, t1) in enumerate(zip(*fold_h)):
+                for a2, (u0, u1) in enumerate(zip(*fold_w)):
+                    d = dw[a, a2, ch]
+                    np.add(dq[t0, u0, ch, 0, 0], dq[t0, u1, ch, 0, 1], out=d)
+                    d += dq[t1, u0, ch, 1, 0]
+                    d += dq[t1, u1, ch, 1, 1]
+
+        _by_channel(fold, c_out, dq.nbytes)
+        del dq
+        dw = dw.transpose(2, 3, 0, 1)
+        db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
+        if not need_dx:
+            return None, dw, db
+        xc = None   # as in conv2d
+        hz, wz = h + kqh - 1, w + kqw - 1
+        gz = _padded((b, 4 * c_out, hz, wz),
+                     lambda a: a.reshape(b, c_out, 4, hz, wz).transpose(2, 1, 0, 3, 4),
+                     [(gp, rows[r] - top + kqh - 1, cols[s] - left + kqw - 1)
+                      for gp, (r, s) in zip(by_phase, phases)])
+        wflip = _phase_kernels(kernels.data, fold_h, fold_w, flip=True).reshape(c_in, -1)
+        dx = _conv_matmul(wflip, gz, kqh, kqw, h, w).reshape(b, c_in, h, w)
         return (dx[0] if single else dx), dw, db
 
     return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)
@@ -626,8 +837,8 @@ def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling; each pixel becomes a 2x2 block.
 
     Forward writes the input into the output's four strided quadrants;
-    backward is ``_sum_quadrants``.  ``conv2d(..., upsample=True)`` does
-    both inside the conv, without making the 4x map.
+    backward is ``_sum_quadrants``.  ``conv2d(..., upsample=True)``
+    convolves the upsample without making it, in sub-pixel form.
     """
     xd = _spatial(x, "upsample2x")
     b, c, h, w = xd.shape

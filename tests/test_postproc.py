@@ -460,6 +460,25 @@ def test_apply_mask_full_empty_half():
     assert not out[:, 4:].any()
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16, bool])
+def test_apply_mask_integer_bytes_equal_to_a_select(dtype):
+    rng = DetRng(2)
+    offset = 0 if dtype in (np.uint8, np.uint16) else 128
+    img = (rng.integers(32 * 32, 256).reshape(32, 32) - offset).astype(dtype)
+    mask = rng.random(32 * 32).reshape(32, 32) < 0.5
+    out = apply_mask(img, mask)
+    want = np.where(mask, img, 0).astype(img.dtype)
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
+def test_apply_mask_float_outside_is_positive_zero():
+    # a multiply would leave -0.0 for -1.0 and NaN for NaN outside the mask
+    img = np.array([[-1.0, np.nan], [2.5, -3.0]])
+    mask = np.array([[False, False], [True, True]])
+    out = apply_mask(img, mask)
+    assert out.tobytes() == np.array([[0.0, 0.0], [2.5, -3.0]]).tobytes()
+
+
 def test_apply_mask_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         apply_mask(np.zeros((4, 4), dtype=np.uint8), np.zeros((5, 5), dtype=bool))

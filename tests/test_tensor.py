@@ -116,8 +116,6 @@ def check_conv2d_forward_batch_invariance(upsample=False):
     k = rand_tensor((3, 2, 3, 3), seed=5)
     b = rand_tensor((3,), seed=6)
     full = conv2d(batch, k, b, padding=1, upsample=upsample).data
-    if upsample:
-        assert full.tobytes() == conv2d(upsample2x(batch), k, b, padding=1).data.tobytes()
     for i in range(4):
         single = conv2d(Tensor(batch.data[i:i + 1]), k, b, padding=1, upsample=upsample).data
         assert np.array_equal(full[i], single[0])
@@ -217,18 +215,14 @@ def check_conv2d_input_gradient_batch_invariance(upsample=False):
     b = rand_tensor((3,), seed=16, requires_grad=True)
     upstream = rand_tensor((4, 3, 8, 8), seed=17)
 
-    def input_grad(x, g, fused=True):
+    def input_grad(x, g):
         x = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = (conv2d(x, k, b, padding=1, upsample=upsample) if fused
-                   else conv2d(upsample2x(x), k, b, padding=1))
+            out = conv2d(x, k, b, padding=1, upsample=upsample)
             loss = sum_all(mul(out, Tensor(g)))
         return out.data, tape.backward(loss)[x]
 
-    out, full = input_grad(batch.data, upstream.data)
-    if upsample:
-        want = input_grad(batch.data, upstream.data, fused=False)
-        assert out.tobytes() == want[0].tobytes() and full.tobytes() == want[1].tobytes()
+    _, full = input_grad(batch.data, upstream.data)
     for i in range(4):
         single = input_grad(batch.data[i:i + 1], upstream.data[i:i + 1])[1]
         assert np.array_equal(full[i], single[0])
@@ -364,11 +358,17 @@ def test_conv2d_reads_no_memory_it_did_not_write(upsample, workers, monkeypatch)
     assert conv_bytes_and_nodes(upsample) == want
 
 
+# the channels of each memory pass of conv_bytes_and_nodes, c_in 2 and
+# c_out 3: the xc fill, then the gc scatter and the gz spread in backward.
+# With upsample also the phase kernels (by c_out) in the forward, and in
+# backward the fold of dw's phase taps and the flipped phase kernels (by
+# c_in)
+MEMORY_PASS_CHANNELS = {False: [2, 3, 3], True: [2, 3, 3, 3, 3, 2]}
+
+
 @pytest.mark.parametrize("upsample", [False, True])
 def test_conv2d_memory_passes_run_on_the_workers(upsample, monkeypatch):
-    # the buffer fill of the forward, and in backward the fill again (with
-    # upsample), the gc scatter, the gz spread and the quadrant sum: each
-    # pass is one contiguous channel slab per worker, never on the caller
+    # each pass is one contiguous channel slab per worker, never on the caller
     deal_to(monkeypatch, 2)
     caller = threading.current_thread()
     by_channel = tensor_module._by_channel
@@ -386,17 +386,14 @@ def test_conv2d_memory_passes_run_on_the_workers(upsample, monkeypatch):
 
     monkeypatch.setattr("chestkit.tensor._by_channel", spy)
     conv_bytes_and_nodes(upsample)
-    # c_in 2 and c_out 3: fill, gc, gz, then the rebuilt fill and the
-    # quadrant sum with upsample
-    channels = [2, 3, 3, 2, 2] if upsample else [2, 3, 3]
-    assert sorted(c for c, _ in passes) == sorted(channels)
+    assert sorted(c for c, _ in passes) == sorted(MEMORY_PASS_CHANNELS[upsample])
     for c, slabs in passes:
         assert slabs == [(False, 0, c // 2), (False, c // 2, c)]
 
 
 def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(monkeypatch):
-    # fill, gc, gz, the rebuilt fill and the quadrant sum each run once, on
-    # the caller, over all their channels
+    # each pass of an upsample conv runs once, on the caller, over all its
+    # channels
     monkeypatch.setattr("chestkit.tensor._WORKERS", 2)
     caller = threading.current_thread()
     seen = []
@@ -411,7 +408,7 @@ def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(monkeypatch
 
     monkeypatch.setattr("chestkit.tensor._by_channel", spy)
     want, _ = conv_bytes_and_nodes(True)
-    assert sorted(seen) == sorted((c, True, 0, c) for c in [2, 3, 3, 2, 2])
+    assert sorted(seen) == sorted((c, True, 0, c) for c in MEMORY_PASS_CHANNELS[True])
     deal_to(monkeypatch, 2)
     assert conv_bytes_and_nodes(True)[0] == want
 
@@ -504,25 +501,28 @@ def test_conv2d_in_a_forked_child_makes_its_own_workers(monkeypatch):
     assert got == want
 
 
-def test_conv2d_one_image_equals_a_batch_of_one():
-    # conv2d's one unbatched entry: [C,H,W] in, [C_out,H,W] out and an
-    # input gradient shaped like the image, each equal to a batch of one
+@pytest.mark.parametrize("upsample", [False, True])
+def test_conv2d_one_image_equals_a_batch_of_one(upsample):
+    # conv2d's one unbatched entry: [C,H,W] in, [C_out,H,W] out (twice the
+    # size with upsample) and an input gradient shaped like the image, each
+    # equal to a batch of one
+    scale = 2 if upsample else 1
     image = rand_tensor((2, 6, 5), seed=44)
     k = rand_tensor((3, 2, 3, 3), seed=45, requires_grad=True)
     b = rand_tensor((3,), seed=46, requires_grad=True)
-    upstream = rand_tensor((3, 6, 5), seed=47)
+    upstream = rand_tensor((3, 6 * scale, 5 * scale), seed=47)
 
     def run(x, g):
         x = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = conv2d(x, k, b, padding=1)
+            out = conv2d(x, k, b, padding=1, upsample=upsample)
             loss = sum_all(mul(out, Tensor(g)))
         grads = tape.backward(loss)
         return out.data, grads[x], grads[k], grads[b]
 
     one = run(image.data, upstream.data)
     batch = run(image.data[None], upstream.data[None])
-    assert one[0].shape == (3, 6, 5) and one[1].shape == (2, 6, 5)
+    assert one[0].shape == (3, 6 * scale, 5 * scale) and one[1].shape == (2, 6, 5)
     for got, want in zip(one, batch):
         assert np.array_equal(got, want.reshape(got.shape))
     with pytest.raises(ShapeError, match=r"conv2d expects \[B,C,H,W\], got \(6, 5\)"):
@@ -949,7 +949,10 @@ def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
 
 
 # (batch, h, w, kernel, padding) for input [batch, 2, h, w]; a 3x3 kernel
-# needs padding on a 1-row input, whose upsample is 2 rows
+# needs padding on a 1-row input, whose upsample is 2 rows.  A 1x1 kernel
+# with padding 1 has output rows wholly on the padding.  The last three
+# add a 2x2 kernel, whose odd row phase has fewer taps and no output row,
+# and 5x5 and 4x4 kernels with padding 2 and 3
 UPSAMPLE_CONV_GEOMETRIES = [
     (batch, h, w, k, padding)
     for batch in (1, 3)
@@ -957,18 +960,24 @@ UPSAMPLE_CONV_GEOMETRIES = [
     for k in (1, 3)
     for padding in (0, 1)
     if k <= 2 * h + 2 * padding
-]
+] + [(1, 1, 2, 2, 0), (2, 3, 2, 5, 2), (1, 2, 3, 4, 3)]
 
 
-@pytest.mark.parametrize("batch,h,w,k,padding", UPSAMPLE_CONV_GEOMETRIES)
-def test_upsample_conv2d_byte_equal_to_composition(batch, h, w, k, padding):
-    seed = batch * 1000 + h * 100 + w * 10 + k + padding
-    x = upsample_grad_case(batch, 2, h, w, seed=seed)
-    kern = rand_tensor((3, 2, k, k), seed=seed + 1).data
-    b = rand_tensor((3,), seed=seed + 2).data
-    side_h, side_w = 2 * h + 2 * padding - k + 1, 2 * w + 2 * padding - k + 1
-    g = upsample_grad_case(batch, 3, side_h, side_w, seed=seed + 3)
+def upsample_conv_case(batch, h, w, kh, kw, padding, integer):
+    """x, kernels, bias and an upstream gradient for a 2 -> 3 channel
+    conv over the upsample of [batch, 2, h, w]: small integers, whose every
+    sum is exact, or normal draws."""
+    rng = np.random.default_rng(batch * 1000 + h * 100 + w * 10 + kh + kw + padding)
+    oh, ow = 2 * h + 2 * padding - kh + 1, 2 * w + 2 * padding - kw + 1
+    shapes = [(batch, 2, h, w), (3, 2, kh, kw), (3,), (batch, 3, oh, ow)]
+    if integer:
+        return [rng.integers(-9, 10, shape).astype(float) for shape in shapes]
+    return [rng.standard_normal(shape) for shape in shapes]
 
+
+def fused_and_composed(x, kern, b, g, padding):
+    """(out, dx, dw, db) of ``conv2d(..., upsample=True)`` and of
+    ``conv2d(upsample2x(x), ...)`` under the upstream gradient ``g``."""
     def run(fused):
         xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
         with Tape() as tape:
@@ -978,20 +987,46 @@ def test_upsample_conv2d_byte_equal_to_composition(batch, h, w, k, padding):
         grads = tape.backward(loss)
         return out.data, grads[xt], grads[kt], grads[bt]
 
-    for got, want in zip(run(True), run(False)):
+    return zip(run(True), run(False))
+
+
+@pytest.mark.parametrize("batch,h,w,k,padding", UPSAMPLE_CONV_GEOMETRIES)
+def test_upsample_conv2d_byte_equal_to_composition(batch, h, w, k, padding):
+    # the sub-pixel form groups the sums differently, which no integer
+    # data can show
+    case = upsample_conv_case(batch, h, w, k, k, padding, integer=True)
+    for got, want in fused_and_composed(*case, padding):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
-def test_upsample_conv2d_input_gradient_keeps_the_width_1_order():
-    # through an identity 1x1 conv, dx is the quadrant sum of the upstream
-    # gradient itself; 1 + 0 + 1e16 - 1e16 is 0 added in sequence, as numpy
-    # sums at width 1, and 1 added in pairs
-    g = np.array([[[[1.0, 0.0], [1e16, -1e16]]]])
+@pytest.mark.parametrize("batch,h,w,k,padding", UPSAMPLE_CONV_GEOMETRIES)
+def test_upsample_conv2d_close_to_composition(batch, h, w, k, padding):
+    case = upsample_conv_case(batch, h, w, k, k, padding, integer=False)
+    for got, want in fused_and_composed(*case, padding):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kh,kw,padding", [(3, 1, 1), (1, 4, 2), (2, 5, 3), (4, 3, 0)])
+def test_upsample_conv2d_non_square_kernels_byte_equal_to_composition(kh, kw, padding):
+    case = upsample_conv_case(2, 3, 2, kh, kw, padding, integer=True)
+    for got, want in fused_and_composed(*case, padding):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_upsample_conv2d_input_gradient_exact_at_width_1(workers, monkeypatch):
+    # through an identity 1x1 conv of a 1x1 input, dx is the sum of the
+    # four phases' gradients, made by one GEMM over them; every partial sum
+    # of these is exact, so it is the block sum whatever the order
+    deal_to(monkeypatch, workers)
+    g = np.array([[[[1.0, 2.0], [4.0, -16.0]]], [[[3.0, 0.0], [-3.0, 0.0]]]])
     _, dx = input_grad(
         lambda x: conv2d(x, Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)), upsample=True),
-        np.zeros((1, 1, 1, 1)), g)
-    assert dx.tobytes() == upsample2x_backward_brute(g).tobytes() == np.zeros((1, 1, 1, 1)).tobytes()
+        np.zeros((2, 1, 1, 1)), g)
+    assert dx.tobytes() == upsample2x_backward_brute(g).tobytes()
+    assert dx.tobytes() == np.array([[[[-9.0]]], [[[0.0]]]]).tobytes()
 
 
 def test_upsample_conv2d_kernel_checked_against_the_upsampled_size():

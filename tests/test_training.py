@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -600,6 +601,39 @@ def test_train_frees_each_steps_gradients_before_the_next_forward(monkeypatch):
         gc.enable()
     assert len(history) == 1 and held
     assert all(ref() is None for ref in held)
+
+
+# sha256 of the float64 gradient bytes, in parameter order, of one seeded
+# forward and backward of each network at its desk preset's input size.
+# The trained-weight hashes CI pins are of float32 weights, which cannot
+# see a last-bit change in a gradient; this can.  Like those hashes it is
+# a figure of the BLAS build; one or two BLAS threads and one or two
+# conv2d workers give the same bytes at these sizes
+GRADIENT_SHA256 = {
+    "xray-det-desk": "2f37f6a4210d3c910e38a107bb49f1f60e505746108de91e263c2a299590e429",
+    "seg-desk": "7cdd6a5dc0ff807154a1d126d07fd8fe9ea5f4c8217e0f6cb7bb74a0a6e959d7",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GRADIENT_SHA256))
+def test_desk_float64_gradient_bytes_pinned(preset):
+    config = get_preset(preset).model
+    model = build_model(config, seed=38)
+    rng = DetRng(39)
+    shape = (2, *config.input_shape)
+    batch = Tensor(rng.random(int(np.prod(shape))).reshape(shape))
+    with Tape() as tape:
+        probs = model.forward(batch)
+        if config.architecture == "irrcnn":
+            loss = cross_entropy_loss(probs, [0, 1])
+        else:
+            target = (rng.random(probs.size) < 0.3).astype(float).reshape(probs.shape)
+            loss = dice_loss(probs, Tensor(target))
+    grads = tape.backward(loss)
+    digest = hashlib.sha256()
+    for _, param in model.params.items():
+        digest.update(grads[param].tobytes())
+    assert digest.hexdigest() == GRADIENT_SHA256[preset]
 
 
 # ---------------------------------------------------------------------------
