@@ -9,6 +9,7 @@ given identical arguments, files, and seed, and writes only under --out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -70,6 +71,28 @@ def _parse_ratio(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except ValueError as exc:
         raise CliError(EXIT_ARGS, f"bad ratio {text!r}; expected like 1:3") from exc
+
+
+def _finite(text: str) -> float:
+    """argparse type of ``--threshold`` and ``--offset``: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _window(text: str) -> int:
+    """argparse type of ``--window``: an odd integer from 3 up."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 3 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"expected an odd integer >= 3, got {text!r}")
+    return value
 
 
 def _resize_dataset(ds: LabeledDataset, input_shape: tuple[int, int, int]) -> LabeledDataset:
@@ -322,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--dataset", default=None)
     pl.add_argument("--out", required=True)
     pl.add_argument("--mode", choices=("chest", "lung"), default="chest")
-    pl.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    pl.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    pl.add_argument("--offset", type=float, default=DEFAULT_OFFSET)
+    pl.add_argument("--threshold", type=_finite, default=DEFAULT_THRESHOLD)
+    pl.add_argument("--window", type=_window, default=DEFAULT_WINDOW)
+    pl.add_argument("--offset", type=_finite, default=DEFAULT_OFFSET)
     pl.set_defaults(func=cmd_pipeline)
 
     ev = sub.add_parser(
@@ -337,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--weights", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--part", choices=("train", "test"), default="test")
-    ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    ev.add_argument("--threshold", type=_finite, default=DEFAULT_THRESHOLD)
     ev.set_defaults(func=cmd_eval)
 
     return parser

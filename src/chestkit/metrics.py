@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kvtext
-from .postproc import DEFAULT_THRESHOLD
+from .postproc import DEFAULT_THRESHOLD, binarize
 from .training import to_batch
 
 SCORES = ("accuracy", "precision", "recall", "f1", "iou", "dice", "auc")
@@ -199,13 +199,14 @@ def evaluate_classifier(model, ds, positive_class: int = 1,
 
 def evaluate_segmenter(model, ds, threshold: float = DEFAULT_THRESHOLD,
                        batch_size: int = 8) -> MetricsReport:
-    """Pixelwise accuracy and F1 plus per-sample mean IoU and Dice."""
+    """Pixelwise accuracy and F1 plus per-sample mean IoU and Dice, of the
+    masks ``binarize`` makes at ``threshold``."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     if ds.masks is None:
         raise ValueError("segmenter evaluation needs masks")
     probs = _forward_batches(model, ds.images, batch_size)
-    preds = probs[:, 0] > threshold
+    preds = [binarize(p, threshold) for p in probs[:, 0]]
     tp = fp = fn = tn = 0
     ious = []
     dices = []

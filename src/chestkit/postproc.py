@@ -20,6 +20,7 @@ as background for both erosion and dilation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,13 @@ def _as_mask(mask: np.ndarray, what: str = "mask") -> np.ndarray:
 
 
 def binarize(prob_map: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """True where an [H,W] probability map strictly exceeds the threshold."""
+    """True where an [H,W] probability map strictly exceeds the threshold,
+    which must be finite: a NaN threshold would mark nothing."""
     data = np.asarray(prob_map)
     if data.ndim != 2:
         raise ValueError(f"expected [H,W], got shape {data.shape}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     return data > threshold
 
 
@@ -268,7 +272,9 @@ def adaptive_threshold(image: np.ndarray, roi: np.ndarray,
 
     A pixel is marked iff it lies in the roi and its value strictly
     exceeds the mean of the roi pixels inside its window x window
-    neighborhood (clipped at the image border) plus the offset.
+    neighborhood (clipped at the image border) plus the offset, which must
+    be finite.  A window wider than twice the image's longer side covers
+    the whole image from every pixel, so it runs as that width.
 
     The window sums and counts are box sums of integral images (Crow
     1984). A uint8 image, which is every image chestkit loads, resizes or
@@ -285,12 +291,15 @@ def adaptive_threshold(image: np.ndarray, roi: np.ndarray,
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset}")
     img = np.asarray(image)
     roi = _as_mask(roi, "roi")
     if img.shape != roi.shape:
         raise ValueError(f"image {img.shape} and roi {roi.shape} differ")
     h, w = img.shape
-    r = window // 2
+    r = min(window // 2, max(h, w))
+    window = 2 * r + 1
 
     def boxed(values, dtype):
         # an integral image of the values on a canvas zero-padded by r, and

@@ -16,8 +16,8 @@ as the forward drops it, and backward releases each node, closure and
 saved arrays included, once it has run.  A conv keeps its padded input
 buffer, and lets go of it once its weight gradient is made.
 ``conv2d(..., upsample=True)``, a conv over the 2x upsample of its input,
-runs as four convs of the quarter-size input, one per output phase, so no
-4x map is ever made.
+runs as four convs of the input itself, one per output phase, so no 4x map
+is ever made; a plain conv is the one-phase case of the same code.
 
 Ops take batches: the spatial ops and ``concat_channels`` take
 [B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
@@ -37,9 +37,9 @@ Its memory passes go to the same pool, one contiguous channel slab per
 worker, when the pass's largest array has at least ``_SPLIT_BYTES``: the
 copies into the padded buffers of the input and of the output gradient
 (``_padded``), and with ``upsample`` the making of the phase kernels and
-the fold of ``dw``'s phase taps; ``upsample2x`` deals ``_sum_quadrants``
-the same way.  ``deal_memory`` offers the same rule to other modules;
-``training.adam_step`` deals its blocks of parameter rows through it.
+the fold of ``dw``'s phase taps.  ``deal_memory`` offers the same rule to
+other modules; ``training.adam_step`` deals its blocks of parameter rows
+through it.
 The large arrays of these passes are made on the calling thread.  Each
 unit of work keeps its shape and operands and writes only its own slice
 of the output, so every byte is the same as on one thread, whatever the
@@ -60,6 +60,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from typing import Callable, Sequence
@@ -300,12 +301,12 @@ _COLS_BYTES = 1 << 20
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _SPLIT_FLOPS = 1 << 26
-# a memory pass (conv2d's padded buffers, the quadrant sum, adam_step by
-# its parameters' bytes) goes to the same workers when its largest array
-# has at least _SPLIT_BYTES.  Timed per call on the same VM, full-width seg
-# passes of 4 MB and up ran 1.1-2.1x as fast on two threads, those of
-# 2-2.4 MB 0.8-1.5x and smaller ones slower: a split costs 0.1-0.5 ms.
-# The desk presets' passes are at most 1.5 MB
+# a memory pass (conv2d's padded buffers, phase kernels and dw folds,
+# adam_step by its parameters' bytes) goes to the same workers when its
+# largest array has at least _SPLIT_BYTES.  Timed per call on the same
+# VM, full-width seg passes of 4 MB and up ran 1.1-2.1x as fast on two
+# threads, those of 2-2.4 MB 0.8-1.5x and smaller ones slower: a split
+# costs 0.1-0.5 ms.  The desk presets' passes are at most 1.5 MB
 _SPLIT_BYTES = 1 << 22
 _pool = None   # a concurrent.futures.ThreadPoolExecutor, from the first split
 _pool_lock = threading.Lock()
@@ -454,24 +455,36 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     """2-D cross-correlation at stride 1 with zero padding; ``kernels`` is
     [C_out, C_in, kH, kW], ``bias`` [C_out], output H + 2*padding - kH + 1.
     With ``upsample`` the input [B, C, h, w] stands for its nearest-neighbour
-    2x upsample [B, C, 2h, 2w]: ``conv2d(upsample2x(x), ...)`` in sub-pixel
-    form (``_upsample_conv2d``).
+    2x upsample [B, C, 2h, 2w]: ``conv2d(upsample2x(x), ...)``, run without
+    making the upsample.
+
+    Both run in the sub-pixel form of Shi et al. (2016): output pixel
+    (scale*i + r, scale*j + s) is phase (r, s), a conv of the input itself
+    with kernels that sum the taps landing on one input pixel
+    (``_phase_axis``, ``_phase_kernels``).  A plain conv is scale 1: one
+    phase, whose kernels are ``kernels`` and whose windows are the output.
+    At scale 2 a 3x3 kernel with padding 1 has 2x2 phase kernels, rows
+    ``[k0, k1 + k2]`` for r = 0 and ``[k0 + k1, k2]`` for r = 1, columns
+    alike: 4/9 of the GEMM work.  The results differ from the composition
+    only in the rounding of sums grouped differently: they are equal on
+    integer data.
 
     The input is padded once into a channel-major buffer ``xc``, [C_in,
-    B*Hp*Wp + (kH-1)*Wp + kW-1]: sample s, padded pixel (i, j) is column
+    B*Hp*Wp + (kqH-1)*Wp + kqW-1]: sample s, padded pixel (i, j) is column
     s*Hp*Wp + i*Wp + j, and the tail is zeros.  The forward is
-    ``_conv_matmul`` of the kernels and ``xc``: im2col columns built and
-    multiplied one block of whole samples, or of one sample's rows, at a
-    time, so each sample's output is independent of the batch.
-    ``dw[:, :, a, b]`` is one GEMM over the batch (``_tap_grads``): the
-    output gradient, laid out like ``xc`` and zero outside each oh x ow
-    corner, times ``xc`` shifted by a*Wp + b; columns that wrap into the
-    next row or sample meet those zeros.  ``dx`` correlates the output
-    gradient with the flipped, channel-swapped kernels through
-    ``_conv_matmul`` too; it is None for an input that neither requires
-    grad nor was recorded.  The closure retains only ``xc``, and lets go of
-    it once ``dw`` is made.  A 1x1 conv of one sample with no padding uses
-    the input itself as ``xc``, since it has that layout already.
+    ``_conv_matmul`` of the stacked phase kernels over ``xc``, so each
+    sample's output is independent of the batch; at scale 2 each block of
+    the product goes straight to ``out[..., r::2, s::2]``, plus the bias.
+    Backward stacks the phases' gradients the same way, each at the place
+    of its windows.  ``dw`` is one GEMM per phase tap over the batch
+    (``_tap_grads``): that stack times ``xc`` shifted by the tap, where
+    columns that wrap into the next row or sample meet its zeros; at scale
+    2 each kernel tap is then the sum of the four phase taps it went into.
+    ``dx``, None for an input that neither requires grad nor was recorded,
+    is one ``_conv_matmul`` of the stack, zero-padded by kq-1, with the
+    flipped phase kernels.  The closure retains only ``xc``, and lets go
+    of it once ``dw`` is made.  A 1x1 conv of one sample with no padding
+    uses the input itself as ``xc``.
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
@@ -489,34 +502,72 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         raise ShapeError(
             f"conv2d: kernels expect {c_in} input channels, input has {c}")
     scale = 2 if upsample else 1
-    hp, wp = scale * h + 2 * padding, scale * w + 2 * padding
-    if kh > hp or kw > wp:
-        raise ShapeError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    if upsample:
-        return _upsample_conv2d(x, xd, kernels, bias, padding, single)
-    oh, ow = hp - kh + 1, wp - kw + 1
+    hu, wu = scale * h + 2 * padding, scale * w + 2 * padding
+    if kh > hu or kw > wu:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {hu}x{wu}")
+    oh, ow = hu - kh + 1, wu - kw + 1
+    kqh, top, hp, rows, row_counts, fold_h = _phase_axis(h, kh, padding, scale)
+    kqw, left, wp, cols, col_counts, fold_w = _phase_axis(w, kw, padding, scale)
     n = b * hp * wp
-    tail = (kh - 1) * wp + kw - 1
+    tail = (kqh - 1) * wp + kqw - 1
     if b == 1 and padding == 0 and tail == 0:
         xc = xd[0].reshape(c, n)   # one unpadded sample under a 1x1 kernel
     else:
         xc = _padded((c, n + tail), lambda a: [a[:, :n].reshape(c, b, hp, wp)],
-                     [(xd.transpose(1, 0, 2, 3), padding, padding)])
+                     [(xd.transpose(1, 0, 2, 3), top, left)])
     xp = xc[:, :n].reshape(c, b, hp, wp).transpose(1, 0, 2, 3)
-    out = _conv_matmul(kernels.data.reshape(c_out, c_in * kh * kw), xp, kh, kw, oh, ow)
-    out += bias.data[:, None]
-    out = out.reshape(b, c_out, oh, ow)
+    wh, ww = hp - kqh + 1, wp - kqw + 1
+    phases = [(r, s) for r in range(scale) for s in range(scale)]
+    q = len(phases)
+    wmat = _phase_kernels(kernels.data, fold_h, fold_w).reshape(q * c_out, -1)
+    if scale == 1:   # the windows are the output
+        out = _conv_matmul(wmat, xp, kqh, kqw, wh, ww).reshape(b, c_out, oh, ow)
+        out += bias.data[:, None, None]
+    else:
+        out = np.empty((b, c_out, oh, ow))
+
+        def into_out(s0, i, product):
+            # window rows i.. of samples s0.., [n, C_out x phases, r*ww]
+            product = product.reshape(len(product), c_out, scale, scale, -1, ww)
+            for r, s in phases:
+                first = max(i, rows[r])
+                last = min(i + product.shape[4], rows[r] + row_counts[r])
+                if first < last:
+                    np.add(product[:, :, r, s, first - i:last - i,
+                                   cols[s]:cols[s] + col_counts[s]],
+                           bias.data[:, None, None],
+                           out=out[s0:s0 + len(product), :,
+                                   scale * (first - rows[r]) + r:
+                                   scale * (last - rows[r]) + r:scale, s::scale])
+
+        _conv_matmul(wmat, xp, kqh, kqw, wh, ww, into_out)
     need_dx = x.requires_grad or x._tape is not None
 
     def backward(g):
         nonlocal xc
         g = g.reshape(b, c_out, oh, ow)
-        gt = g.transpose(1, 0, 2, 3)
-        gc = _padded((c_out, n), lambda a: [a.reshape(c_out, b, hp, wp)], [(gt, 0, 0)])
-        dw = _tap_grads(gc, xc, kh, kw, wp)
+        by_phase = [g[:, :, r::scale, s::scale].transpose(1, 0, 2, 3) for r, s in phases]
+        gc = _padded((q * c_out, n),
+                     lambda a: [a.reshape(c_out, q, b, hp, wp)[:, i] for i in range(q)],
+                     [(gp, rows[r], cols[s]) for gp, (r, s) in zip(by_phase, phases)])
+        dq = _tap_grads(gc, xc, kqh, kqw, wp).reshape(kqh, kqw, c_out, q, c_in)
         del gc
-        dw = dw.transpose(1, 2, 0).reshape(kernels.shape)
+        if scale == 1:
+            dw = dq[:, :, :, 0]
+        else:
+            dw = np.empty((kh, kw, c_out, c_in))
+
+            def fold(ch):
+                for a, ts in enumerate(zip(*fold_h)):
+                    for a2, us in enumerate(zip(*fold_w)):
+                        terms = [dq[ts[r], us[s], ch, i] for i, (r, s) in enumerate(phases)]
+                        d = np.add(terms[0], terms[1], out=dw[a, a2, ch])
+                        for term in terms[2:]:
+                            d += term
+
+            _by_channel(fold, c_out, dq.nbytes)
+        del dq
+        dw = dw.transpose(2, 3, 0, 1)
         db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
         if not need_dx:
             return None, dw, db
@@ -524,14 +575,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         # are made, so an input nothing else holds is freed in time (at
         # 256 px, the head's 25 MB input makes room for its 25 MB dx)
         xc = None
-        # dx is the full correlation of the gradient, zero-padded by k-1,
-        # with the flipped kernels; the rows and columns that fall on the
-        # input's zero padding are left out
-        gz = _padded((b, c_out, h + kh - 1, w + kw - 1), lambda a: [a.transpose(1, 0, 2, 3)],
-                     [(gt, kh - 1 - padding, kw - 1 - padding)])
-        wflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = _conv_matmul(wflip.reshape(c_in, c_out * kh * kw), gz,
-                          kh, kw, h, w).reshape(b, c_in, h, w)
+        # dx sums the full correlation of each phase's gradient with its
+        # flipped phase kernels, less the rows and columns of the padding
+        hz, wz = h + kqh - 1, w + kqw - 1
+        gz = _padded((b, q * c_out, hz, wz),
+                     lambda a: [a.reshape(b, c_out, q, hz, wz)[:, :, i].transpose(1, 0, 2, 3)
+                                for i in range(q)],
+                     [(gp, rows[r] - top + kqh - 1, cols[s] - left + kqw - 1)
+                      for gp, (r, s) in zip(by_phase, phases)])
+        wflip = _phase_kernels(kernels.data, fold_h, fold_w, flip=True).reshape(c_in, -1)
+        dx = _conv_matmul(wflip, gz, kqh, kqw, h, w).reshape(b, c_in, h, w)
         return (dx[0] if single else dx), dw, db
 
     return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)
@@ -557,68 +610,78 @@ def _tap_grads(gc: np.ndarray, xc: np.ndarray, kh: int, kw: int, wp: int) -> np.
 _KERNEL_BLOCK_BYTES = 1 << 18
 
 
-def _phase_axis(n: int, k: int, p: int):
-    """One axis of a size-``k``, padding-``p`` conv over the 2x upsample of
-    ``n`` input pixels, split by output phase r (output 2i + r) into two
-    convs of the input itself.
+@functools.lru_cache(maxsize=None)
+def _phase_axis(n: int, k: int, p: int, scale: int):
+    """One axis of a size-``k``, padding-``p`` conv over the ``scale``-fold
+    nearest-neighbour upsample of ``n`` input pixels, split by output phase
+    r (output scale*i + r) into ``scale`` convs of the input itself; cached,
+    as every conv2d call asks for two.
 
-    Upsampled tap a of output 2i + r reads input i + (r + a - p) // 2.
-    With m = (r - p) % 2 that is tap (a + m) // 2 of a phase window that
-    starts at input i + (r - p) // 2, so at most two taps share a phase tap.
-    Returns ``(kq, lo, size, starts, counts, fold)``: ``kq`` phase
-    taps, with zero taps at the end of a phase that has fewer; the input
-    sits at ``lo`` on a zero-padded axis of ``size``, over which phase r's
-    outputs are windows ``starts[r]`` to ``starts[r] + counts[r] - 1``;
-    and ``fold[r][a]`` is the phase tap of tap a.
+    Upsampled tap a of output scale*i + r reads input i + (r + a - p) //
+    scale.  With m = (r - p) % scale that is tap (a + m) // scale of a
+    phase window that starts at input i + (r - p) // scale.  Returns
+    ``(kq, lo, size, starts, counts, fold)``: ``kq`` phase taps, with zero
+    taps at the end of a phase that has fewer; the input sits at ``lo`` on
+    a zero-padded axis of ``size``, over which phase r's outputs are
+    windows ``starts[r]`` to ``starts[r] + counts[r] - 1``; and
+    ``fold[r][a]`` is the phase tap of tap a.  At scale 1 that is the conv
+    itself: ``(k, p, n + 2p, (0,), (n + 2p - k + 1,), (tuple(range(k)),))``.
     """
-    m = [(r - p) % 2 for r in (0, 1)]
-    kq = max((k - 1 + mr) // 2 for mr in m) + 1
-    lo = (p + 1) // 2
-    starts = [(r - p) // 2 + lo for r in (0, 1)]
-    o = 2 * n + 2 * p - k + 1
-    counts = [(o - r + 1) // 2 for r in (0, 1)]
+    m = [(r - p) % scale for r in range(scale)]
+    kq = max((k - 1 + mr) // scale for mr in m) + 1
+    lo = (p + scale - 1) // scale
+    starts = tuple((r - p) // scale + lo for r in range(scale))
+    o = scale * n + 2 * p - k + 1
+    counts = tuple((o - r + scale - 1) // scale for r in range(scale))
     size = max(lo + n, max(s + c for s, c in zip(starts, counts)) + kq - 1)
-    fold = [[(a + mr) // 2 for a in range(k)] for mr in m]
+    fold = tuple(tuple((a + mr) // scale for a in range(k)) for mr in m)
     return kq, lo, size, starts, counts, fold
 
 
-def _phase_kernels(k: np.ndarray, fold_h: list, fold_w: list, flip: bool = False) -> np.ndarray:
-    """The phase kernels of ``k`` [C_out, C_in, kH, kW], [C_out, 2, 2, C_in,
-    kqh, kqw]: tap (t, u) of phase (r, s) is ``(k[a0, b0] + k[a1, b0]) +
-    (k[a0, b1] + k[a1, b1])`` over the taps a with ``fold_h[r][a] == t``
-    and b with ``fold_w[s][b] == u``.  With ``flip`` each phase's taps are
-    reversed and the layout is [C_in, C_out, 2, 2, kqh, kqw], as ``dx``
-    multiplies them.
+def _phase_kernels(k: np.ndarray, fold_h: Sequence, fold_w: Sequence,
+                   flip: bool = False) -> np.ndarray:
+    """The phase kernels of ``k`` [C_out, C_in, kH, kW], [C_out, S, S, C_in,
+    kqh, kqw] for ``S = len(fold_h)`` phases an axis: tap (t, u) of phase
+    (r, s) is the sum of ``k[a, b]`` over the taps a with ``fold_h[r][a] ==
+    t`` and b with ``fold_w[s][b] == u``.  With ``flip`` each phase's taps
+    are reversed and the layout is [C_in, C_out, S, S, kqh, kqw], as ``dx``
+    multiplies them.  At scale 1 that is ``k`` itself, or ``k`` flipped
+    and transposed, with no arithmetic, so a -0.0 weight stays -0.0.
 
-    Two GEMMs with 0/1 matrices form the sums, the rows' and then the
-    columns': each product is exact and each sum has at most two terms
-    that are not zero, so no order of summation changes a bit, and both
-    layouts hold the same values.  They run a block of channels at a time,
-    output channels (input channels with ``flip``) whose row sums take
-    about ``_KERNEL_BLOCK_BYTES``, so ``k`` is read once, in place, and
-    the row sums stay in cache; ``_by_channel`` deals the blocks.
+    At scale 2, tap (t, u) is ``(k[a0, b0] + k[a1, b0]) + (k[a0, b1] +
+    k[a1, b1])``.  Two GEMMs with 0/1 matrices form the sums, the rows'
+    and then the columns': each product is exact and each sum has at most
+    two terms that are not zero, so no order of summation changes a bit,
+    and both layouts hold the same values.  They run a block of channels
+    at a time, output channels (input channels with ``flip``) whose row
+    sums take about ``_KERNEL_BLOCK_BYTES``, so ``k`` is read once, in
+    place, and the row sums stay in cache; ``_by_channel`` deals the
+    blocks.
     """
+    scale = len(fold_h)
+    if scale == 1:
+        return k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) if flip else k
     c_out, c_in, kh, kw = k.shape
     kqh, kqw = max(map(max, fold_h)) + 1, max(map(max, fold_w)) + 1
     # tap (a, b) to row sum (r, t, b), and row sum (r, t, b) to phase tap
     # (r, s, t, u), t and u reversed with flip
-    to_rows = np.zeros((kh, kw, 2, kqh, kw))
-    to_phases = np.zeros((2, kqh, kw, 2, 2, kqh, kqw))
-    for r in (0, 1):
+    to_rows = np.zeros((kh, kw, scale, kqh, kw))
+    to_phases = np.zeros((scale, kqh, kw, scale, scale, kqh, kqw))
+    for r in range(scale):
         for a, t in enumerate(fold_h[r]):
             to_rows[a, :, r, t] = np.eye(kw)
-        for s in (0, 1):
+        for s in range(scale):
             for b, u in enumerate(fold_w[s]):
                 for t in range(kqh):
                     if flip:
                         to_phases[r, t, b, r, s, kqh - 1 - t, kqw - 1 - u] = 1.0
                     else:
                         to_phases[r, t, b, r, s, t, u] = 1.0
-    width = 2 * kqh * kw
+    width = scale * kqh * kw
     to_rows = to_rows.reshape(kh * kw, width)
     taps = k.reshape(c_out, c_in, kh * kw)
     if flip:
-        out = np.empty((c_in, c_out, 2, 2, kqh, kqw))
+        out = np.empty((c_in, c_out, scale, scale, kqh, kqw))
         to_phases = to_phases.reshape(width, -1)
         step = max(1, _KERNEL_BLOCK_BYTES // (c_out * width * k.itemsize))
 
@@ -631,8 +694,8 @@ def _phase_kernels(k: np.ndarray, fold_h: list, fold_w: list, flip: bool = False
 
         _by_channel(part, c_in, k.nbytes)
         return out
-    out = np.empty((c_out, 2, 2, c_in, kqh, kqw))
-    to_phases = to_phases.reshape(width, 2, 2, kqh * kqw)
+    out = np.empty((c_out, scale, scale, c_in, kqh, kqw))
+    to_phases = to_phases.reshape(width, scale, scale, kqh * kqw)
     step = max(1, _KERNEL_BLOCK_BYTES // (c_in * width * k.itemsize))
 
     def part(ch):
@@ -640,8 +703,8 @@ def _phase_kernels(k: np.ndarray, fold_h: list, fold_w: list, flip: bool = False
             hi = min(lo + step, ch.stop)
             rows = np.matmul(taps[lo:hi].reshape(-1, kh * kw), to_rows)
             rows = rows.reshape(hi - lo, c_in, width)
-            for r in (0, 1):
-                for s in (0, 1):
+            for r in range(scale):
+                for s in range(scale):
                     np.matmul(rows, to_phases[:, r, s],
                               out=out[lo:hi, r, s].reshape(hi - lo, c_in, kqh * kqw))
 
@@ -649,133 +712,10 @@ def _phase_kernels(k: np.ndarray, fold_h: list, fold_w: list, flip: bool = False
     return out
 
 
-def _upsample_conv2d(x: Tensor, xd: np.ndarray, kernels: Tensor, bias: Tensor,
-                     padding: int, single: bool) -> Tensor:
-    """``conv2d(x, kernels, bias, padding, upsample=True)`` for ``xd``
-    [B, C_in, h, w], the batch of ``x``: output pixel (2i + r, 2j + s) is
-    phase (r, s), a conv of ``xd`` itself with kernels that sum the taps
-    landing on one input pixel (``_phase_axis``).  For a 3x3 kernel with
-    padding 1 the phase kernels are 2x2, with rows ``[k0, k1 + k2]`` for
-    r = 0 and ``[k0 + k1, k2]`` for r = 1, and columns alike: 4/9 of the
-    GEMM work, on im2col columns of the quarter-size map.
-
-    ``xc`` is ``xd`` padded as ``_phase_axis`` says, laid out as in
-    ``conv2d``.  The forward is ``_conv_matmul`` of the four phase kernels
-    stacked, [C_out*4, C_in*kqh*kqw], over ``xc``; each block of its
-    product goes straight to ``out[..., r::2, s::2]``, plus the bias, so
-    no phase-major copy of the output is made.  In backward the four
-    phases' gradients are stacked the same way, each at the place of its
-    windows: ``dw`` is ``_tap_grads`` of that over ``xc``, one GEMM per
-    phase tap for all four phases, and each kernel tap is then the sum of
-    the four phase taps it went into.  ``dx`` is one ``_conv_matmul`` of
-    the stacked gradient, zero-padded by kq-1, with the flipped phase
-    kernels, at quarter size.  The closure keeps only ``xc``, as
-    ``conv2d`` does; the phase kernels are made again in backward,
-    flipped.  Results differ from ``conv2d(upsample2x(x), ...)`` only in
-    the rounding of sums grouped differently: they are equal on integer
-    data.
-    """
-    c_out, c_in, kh, kw = kernels.shape
-    b, _, h, w = xd.shape
-    kqh, top, hp, rows, row_counts, fold_h = _phase_axis(h, kh, padding)
-    kqw, left, wp, cols, col_counts, fold_w = _phase_axis(w, kw, padding)
-    oh, ow = 2 * h + 2 * padding - kh + 1, 2 * w + 2 * padding - kw + 1
-    n = b * hp * wp
-    xc = _padded((c_in, n + (kqh - 1) * wp + kqw - 1),
-                 lambda a: [a[:, :n].reshape(c_in, b, hp, wp)],
-                 [(xd.transpose(1, 0, 2, 3), top, left)])
-    xp = xc[:, :n].reshape(c_in, b, hp, wp).transpose(1, 0, 2, 3)
-    wh, ww = hp - kqh + 1, wp - kqw + 1
-    phases = [(r, s) for r in (0, 1) for s in (0, 1)]
-    out = np.empty((b, c_out, oh, ow))
-
-    def into_out(s0, i, product):
-        # window rows i.. of samples s0.., [n, C_out x 4 phases, r*ww]
-        product = product.reshape(len(product), c_out, 2, 2, -1, ww)
-        for r, s in phases:
-            first = max(i, rows[r])
-            last = min(i + product.shape[4], rows[r] + row_counts[r])
-            if first < last:
-                np.add(product[:, :, r, s, first - i:last - i, cols[s]:cols[s] + col_counts[s]],
-                       bias.data[:, None, None],
-                       out=out[s0:s0 + len(product), :,
-                               2 * (first - rows[r]) + r:2 * (last - rows[r]) + r:2, s::2])
-
-    wmat = _phase_kernels(kernels.data, fold_h, fold_w).reshape(4 * c_out, -1)
-    _conv_matmul(wmat, xp, kqh, kqw, wh, ww, into_out)
-    need_dx = x.requires_grad or x._tape is not None
-
-    def backward(g):
-        nonlocal xc
-        g = g.reshape(b, c_out, oh, ow)
-        by_phase = [g[:, :, r::2, s::2].transpose(1, 0, 2, 3) for r, s in phases]
-        gc = _padded((4 * c_out, n),
-                     lambda a: a.reshape(c_out, 4, b, hp, wp).transpose(1, 0, 2, 3, 4),
-                     [(gp, rows[r], cols[s]) for gp, (r, s) in zip(by_phase, phases)])
-        dq = _tap_grads(gc, xc, kqh, kqw, wp).reshape(kqh, kqw, c_out, 2, 2, c_in)
-        del gc
-        dw = np.empty((kh, kw, c_out, c_in))
-
-        def fold(ch):
-            for a, (t0, t1) in enumerate(zip(*fold_h)):
-                for a2, (u0, u1) in enumerate(zip(*fold_w)):
-                    d = dw[a, a2, ch]
-                    np.add(dq[t0, u0, ch, 0, 0], dq[t0, u1, ch, 0, 1], out=d)
-                    d += dq[t1, u0, ch, 1, 0]
-                    d += dq[t1, u1, ch, 1, 1]
-
-        _by_channel(fold, c_out, dq.nbytes)
-        del dq
-        dw = dw.transpose(2, 3, 0, 1)
-        db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
-        if not need_dx:
-            return None, dw, db
-        xc = None   # as in conv2d
-        hz, wz = h + kqh - 1, w + kqw - 1
-        gz = _padded((b, 4 * c_out, hz, wz),
-                     lambda a: a.reshape(b, c_out, 4, hz, wz).transpose(2, 1, 0, 3, 4),
-                     [(gp, rows[r] - top + kqh - 1, cols[s] - left + kqw - 1)
-                      for gp, (r, s) in zip(by_phase, phases)])
-        wflip = _phase_kernels(kernels.data, fold_h, fold_w, flip=True).reshape(c_in, -1)
-        dx = _conv_matmul(wflip, gz, kqh, kqw, h, w).reshape(b, c_in, h, w)
-        return (dx[0] if single else dx), dw, db
-
-    return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)
-
-
 def _quadrants(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """The four strided views ``a[..., r::2, c::2]`` in row-major window order."""
     return (a[..., 0::2, 0::2], a[..., 0::2, 1::2],
             a[..., 1::2, 0::2], a[..., 1::2, 1::2])
-
-
-def _sum_quadrants(g: np.ndarray) -> np.ndarray:
-    """Each 2x2 block of ``g`` [B, C, 2h, 2w] summed to [B, C, h, w], as
-    ``0.0 + ((g00 + g01) + (g10 + g11))``: bit for bit the order of the
-    numpy reduction ``g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5))``,
-    whose +0.0 start turns an all-negative-zero sum into +0.0.  At width
-    1 numpy fuses the two length-2 axes into one sequential sum, so there
-    the order is ``0.0 + (((g00 + g01) + g10) + g11)``.
-    """
-    b, c, h, w = g.shape
-    dx = np.empty((b, c, h // 2, w // 2))
-    # g10 + g11 is made here rather than on the workers: memory a worker
-    # allocates stays in its own malloc arena, raising the peak RSS
-    lower = None if w == 2 else np.empty_like(dx)
-    g00, g01, g10, g11 = _quadrants(g)
-
-    def part(s):
-        d = dx[:, s]
-        np.add(g00[:, s], g01[:, s], out=d)
-        if lower is None:
-            d += g10[:, s]
-            d += g11[:, s]
-        else:
-            d += np.add(g10[:, s], g11[:, s], out=lower[:, s])
-        d += 0.0
-
-    _by_channel(part, c, g.nbytes)
-    return dx
 
 
 def _first_max(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -836,17 +776,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling; each pixel becomes a 2x2 block.
 
-    Forward writes the input into the output's four strided quadrants;
-    backward is ``_sum_quadrants``.  ``conv2d(..., upsample=True)``
-    convolves the upsample without making it, in sub-pixel form.
+    Backward sums each 2x2 block of the gradient.  No network calls it:
+    ``conv2d(..., upsample=True)`` convolves the upsample without making it.
     """
     xd = _spatial(x, "upsample2x")
     b, c, h, w = xd.shape
-    out = np.empty((b, c, 2 * h, 2 * w))
-    for quadrant in _quadrants(out):
-        quadrant[...] = xd
-
-    return _record(Tensor(out), (x,), lambda g: (_sum_quadrants(g),))
+    return _record(Tensor(xd.repeat(2, axis=2).repeat(2, axis=3)), (x,),
+                   lambda g: (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:

@@ -57,8 +57,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("learning rate and batch size must be positive, epochs >= 0")
+        if not 0 < self.base_lr < math.inf or self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("learning rate must be positive and finite, batch size "
+                             "positive, epochs >= 0")
         if self.loss not in ("cross_entropy", "dice"):
             raise ValueError(f"unknown loss {self.loss!r}")
 

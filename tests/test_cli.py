@@ -369,6 +369,20 @@ def test_pipeline_requires_exactly_one_input(tmp_path, seg_weights):
     assert code == 2
 
 
+def test_pipeline_window_wider_than_the_image_runs_as_the_image(tmp_path, seg_weights):
+    # at 64 px a 129-px window already covers the whole image from every
+    # pixel; a window of a million pixels must not ask for a table that size
+    weights, data_root = seg_weights
+    outputs = []
+    for window in ("1000001", "129"):
+        out = tmp_path / window
+        code = run(["pipeline", "--weights", str(weights), "--dataset", str(data_root),
+                    "--mode", "lung", "--window", window, "--out", str(out)])
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 def test_pipeline_bad_weights_is_model_error(tmp_path, seg_weights):
     _, data_root = seg_weights
     bad = tmp_path / "bad.cmtw"
@@ -378,10 +392,24 @@ def test_pipeline_bad_weights_is_model_error(tmp_path, seg_weights):
     assert code == 4
 
 
+PIPELINE = ["pipeline", "--weights", "seg.cmtw", "--image", "missing.pgm"]
+TRAIN = ["train", "--dataset", "data", "--preset", "seg-desk"]
+
+
+# a bad flag exits 2 before any file is read: with one the check missed,
+# the missing image or dataset would exit 3 instead
 @pytest.mark.parametrize("argv, code", [
-    (["pipeline", "--weights", "seg.cmtw", "--image", "missing.pgm"], 3),
+    (PIPELINE, 3),
     (["gen-data", "--kind", "classification", "--count", "5"], 2),
-], ids=["pipeline-no-input-loads", "gen-data-count-off-ratio"])
+    (TRAIN + ["--lr", "nan"], 2),
+    (TRAIN + ["--lr", "inf"], 2),
+    (PIPELINE + ["--threshold", "nan"], 2),
+    (PIPELINE + ["--offset", "inf"], 2),
+    (PIPELINE + ["--window", "4"], 2),
+    (["eval", "--dataset", "data", "--weights", "seg.cmtw", "--threshold", "nan"], 2),
+], ids=["pipeline-no-input-loads", "gen-data-count-off-ratio", "train-lr-nan",
+        "train-lr-inf", "pipeline-threshold-nan", "pipeline-offset-inf",
+        "pipeline-window-even", "eval-threshold-nan"])
 def test_failed_command_leaves_no_out(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seg.cmtw").write_bytes(model_file(get_preset("seg-desk").model))

@@ -346,6 +346,19 @@ def test_evaluate_segmenter_against_manual_pixel_counts():
     assert abs(report.dice - 2 * 8 / 24) < 1e-12
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf])
+def test_evaluate_segmenter_rejects_a_threshold_that_is_not_finite(threshold):
+    # a NaN threshold would mark nothing and score every mask 0
+    class HalfSegmenter:
+        def forward(self, batch):
+            return Tensor(np.full((batch.shape[0], 1, 4, 4), 0.5))
+
+    ds = LabeledDataset(images=[np.zeros((4, 4), dtype=np.uint8)],
+                        masks=[np.ones((4, 4), dtype=bool)])
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        evaluate_segmenter(HalfSegmenter(), ds, threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -154,6 +154,13 @@ def test_binarize_exactly_half_is_false():
     assert not binarize(np.array([[0.5]]))[0, 0]
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_binarize_rejects_a_threshold_that_is_not_finite(threshold):
+    # a NaN threshold would mark nothing, and report every lung empty
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        binarize(np.full((2, 2), 0.9), threshold)
+
+
 # ---------------------------------------------------------------------------
 # morphology
 
@@ -575,6 +582,27 @@ def test_adaptive_threshold_rejects_even_window():
     with pytest.raises(ValueError):
         adaptive_threshold(np.zeros((5, 5), dtype=np.uint8),
                            np.ones((5, 5), dtype=bool), window=4)
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_adaptive_threshold_rejects_an_offset_that_is_not_finite(offset):
+    with pytest.raises(ValueError, match="offset must be finite"):
+        adaptive_threshold(np.zeros((5, 5), dtype=np.uint8),
+                           np.ones((5, 5), dtype=bool), offset=offset)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 100), (17, 5), (64, 64)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_adaptive_threshold_window_wider_than_the_image_runs_as_the_image(shape, dtype):
+    # a window of 2 * max(h, w) + 1 covers the image from every pixel, so
+    # any wider one gives the same bytes; 10**6 + 1 unclamped would ask
+    # numpy for a (h + 10**6)**2 table
+    h, w = shape
+    img = (DetRng(50).random(h * w).reshape(h, w) * 256).astype(dtype)
+    roi = random_mask(51, h, w, density=0.7)
+    want = adaptive_threshold(img, roi, 2 * max(h, w) + 1, 1.0)
+    for window in (2 * max(h, w) + 3, 1001, 10 ** 6 + 1):
+        assert adaptive_threshold(img, roi, window, 1.0).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

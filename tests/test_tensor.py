@@ -253,8 +253,8 @@ def test_upsample_conv2d_input_gradient_batched_matches_per_sample_bitwise(
 
 def deal_to(monkeypatch, workers):
     """Every conv2d GEMM call with two or more units, and every memory pass
-    (buffer fills, gradient scatters, quadrant sums, Adam's chunks), goes
-    to ``workers`` threads, however little work it does."""
+    (buffer fills, gradient scatters, phase kernels, dw folds, Adam's
+    chunks), goes to ``workers`` threads, however little work it does."""
     monkeypatch.setattr("chestkit.tensor._WORKERS", workers)
     monkeypatch.setattr("chestkit.tensor._SPLIT_FLOPS", 0)
     monkeypatch.setattr("chestkit.tensor._SPLIT_BYTES", 0)
@@ -349,9 +349,9 @@ class NanEmpty:
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("upsample", [False, True])
 def test_conv2d_reads_no_memory_it_did_not_write(upsample, workers, monkeypatch):
-    # dw and the quadrant sum's output and temporary come from np.empty
-    # and are written slab by slab or tap by tap; a NaN left in one that
-    # reached a result would change its bytes
+    # the output (with upsample), dw, its phase taps and the phase kernels
+    # come from np.empty and are written block by block, tap by tap or slab
+    # by slab; a NaN left in one that reached a result would change its bytes
     deal_to(monkeypatch, workers)
     want = conv_bytes_and_nodes(upsample)
     monkeypatch.setattr("chestkit.tensor.np", NanEmpty())
@@ -391,9 +391,9 @@ def test_conv2d_memory_passes_run_on_the_workers(upsample, monkeypatch):
         assert slabs == [(False, 0, c // 2), (False, c // 2, c)]
 
 
-def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(monkeypatch):
-    # each pass of an upsample conv runs once, on the caller, over all its
-    # channels
+@pytest.mark.parametrize("upsample", [False, True])
+def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(upsample, monkeypatch):
+    # each pass runs once, on the caller, over all its channels
     monkeypatch.setattr("chestkit.tensor._WORKERS", 2)
     caller = threading.current_thread()
     seen = []
@@ -407,16 +407,17 @@ def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(monkeypatch
         by_channel(recorded, c, nbytes)
 
     monkeypatch.setattr("chestkit.tensor._by_channel", spy)
-    want, _ = conv_bytes_and_nodes(True)
-    assert sorted(seen) == sorted((c, True, 0, c) for c in MEMORY_PASS_CHANNELS[True])
+    want, _ = conv_bytes_and_nodes(upsample)
+    assert sorted(seen) == sorted((c, True, 0, c) for c in MEMORY_PASS_CHANNELS[upsample])
     deal_to(monkeypatch, 2)
-    assert conv_bytes_and_nodes(True)[0] == want
+    assert conv_bytes_and_nodes(upsample)[0] == want
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_upsample2x_backward_keeps_the_width_1_order_on_workers(workers, monkeypatch):
-    # 1 + 0 + 1e16 - 1e16 summed in sequence is 0, in pairs 1; each worker
-    # sums its own channels, so both orders must hold on either slab
+    # 1 + 0 + 1e16 - 1e16 summed in sequence is 0, in pairs 1; the block
+    # sums must keep numpy's order at width 1 and wider, however many
+    # workers conv2d has
     deal_to(monkeypatch, workers)
     g = np.array([[[[1.0, 0.0], [1e16, -1e16]]] * 4])
     _, dx = input_grad(upsample2x, np.zeros((1, 4, 1, 1)), g)
@@ -945,7 +946,40 @@ def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# conv2d with a fused 2x upsample, against upsample2x + conv2d
+# conv2d's phase decomposition, and with a fused 2x upsample against
+# upsample2x + conv2d
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_phase_axis_reads_what_the_upsampled_conv_reads(scale):
+    # brute force over small axes: tap a of output scale*i + r of a conv
+    # over the scale-fold upsample, padded by p, reads input
+    # (scale*i + r + a - p) // scale, a zero of the padding when that is
+    # outside [0, n); phase r's window i reads the same place of the
+    # phase-padded axis, where the input starts at lo
+    for n in range(1, 7):
+        for k in range(1, 7):
+            for p in range(4):
+                o = scale * n + 2 * p - k + 1
+                if o < 1:
+                    continue
+                kq, lo, size, starts, counts, fold = tensor_module._phase_axis(n, k, p, scale)
+                assert lo + n <= size
+                for r in range(scale):
+                    assert counts[r] == len(range(r, o, scale))
+                    assert starts[r] >= 0 and starts[r] + counts[r] + kq - 1 <= size
+                    assert all(0 <= t < kq for t in fold[r])
+                    for i in range(counts[r]):
+                        for a in range(k):
+                            want = (scale * i + r + a - p) // scale
+                            assert starts[r] + i + fold[r][a] - lo == want, (n, k, p, r, i, a)
+
+
+@pytest.mark.parametrize("n,k,p", [(1, 1, 0), (4, 3, 1), (5, 1, 2), (2, 5, 2), (7, 4, 0)])
+def test_phase_axis_at_scale_1_is_the_conv_itself(n, k, p):
+    # one phase of k taps, fold the identity, the input at p of n + 2p
+    assert tensor_module._phase_axis(n, k, p, 1) == (
+        k, p, n + 2 * p, (0,), (n + 2 * p - k + 1,), (tuple(range(k)),))
 
 
 # (batch, h, w, kernel, padding) for input [batch, 2, h, w]; a 3x3 kernel
