@@ -324,10 +324,12 @@ class Nabla3:
 
     def forward(self, batch: Tensor) -> Tensor:
         _check_batch_shape(batch, self.config.input_shape, "nabla3")
+        # every conv but the head is relu(conv), fused into one tape node and
+        # one output map (relu=True)
         h = batch
         stage_out = []
         for i, (wt, bt) in enumerate(self.enc, start=1):
-            h = relu(conv2d(h, wt, bt, padding=1))
+            h = conv2d(h, wt, bt, padding=1, relu=True)
             stage_out.append(h)
             if i <= POOL_STAGES:
                 h = max_pool2d(h)
@@ -336,7 +338,7 @@ class Nabla3:
         for start_stage, steps in self.decoders:
             z = stage_out[start_stage - 1]
             for wt, bt in steps:
-                z = relu(conv2d(z, wt, bt, padding=1, upsample=True))
+                z = conv2d(z, wt, bt, padding=1, upsample=True, relu=True)
             maps.append(z)
         fused = concat_channels(maps)
         return sigmoid(conv2d(fused, *self.head))

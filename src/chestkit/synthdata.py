@@ -69,8 +69,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.size % 32:
-            raise ValueError(f"size must be divisible by 32, got {self.size}")
+        if self.size < 32 or self.size % 32:
+            raise ValueError(f"size must be a positive multiple of 32, got {self.size}")
         if min(self.class_ratio) < 1:
             raise ValueError("class ratio parts must be >= 1")
         if not 1 <= self.blob_count[0] <= self.blob_count[1]:

@@ -14,7 +14,10 @@ needs; it never holds its output.  So a forward intermediate that no
 closure saved (a conv's pre-activation, a relu output) is freed as soon
 as the forward drops it, and backward releases each node, closure and
 saved arrays included, once it has run.  A conv keeps its padded input
-buffer, and lets go of it once its weight gradient is made.
+buffer, and lets go of it once its weight gradient is made.  A relu keeps
+its bool mask, whether it is its own node or fused into the conv before
+it (``conv2d(..., relu=True)``), which applies it in place on the conv's
+fresh output and so makes neither a second map nor a second node.
 ``conv2d(..., upsample=True)``, a conv over the 2x upsample of its input,
 runs as four convs of the input itself, one per output phase, so no 4x map
 is ever made; a plain conv is the one-phase case of the same code.
@@ -423,8 +426,9 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
     out = np.empty((b, m, oh * ow)) if emit is None else None
     k = c * kh * kw
     # [B, C, kh, kw, oh, ow]: the columns of every sample, as a view
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    sb, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (b, c, kh, kw, oh, ow), (sb, sc, sh, sw, sh, sw), writeable=False)
     row_bytes = k * ow * wmat.itemsize
     if row_bytes * oh <= _COLS_BYTES:
         samples, rows = min(b, _COLS_BYTES // (row_bytes * oh)), oh
@@ -451,7 +455,7 @@ def _conv_matmul(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int,
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
-           upsample: bool = False) -> Tensor:
+           upsample: bool = False, relu: bool = False) -> Tensor:
     """2-D cross-correlation at stride 1 with zero padding; ``kernels`` is
     [C_out, C_in, kH, kW], ``bias`` [C_out], output H + 2*padding - kH + 1.
     With ``upsample`` the input [B, C, h, w] stands for its nearest-neighbour
@@ -485,6 +489,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     flipped phase kernels.  The closure retains only ``xc``, and lets go
     of it once ``dw`` is made.  A 1x1 conv of one sample with no padding
     uses the input itself as ``xc``.
+
+    With ``relu`` the result is ``relu(conv2d(...))`` to the last bit, in
+    one tape node: after the bias add, ``mask = out > 0`` and every other
+    entry of the conv's own output, NaN and -0.0 included, is set to +0.0
+    in place.  The closure keeps the bool mask, as ``relu``'s node does,
+    and backward starts from ``g * mask``.
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
@@ -541,11 +551,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
                                    scale * (last - rows[r]) + r:scale, s::scale])
 
         _conv_matmul(wmat, xp, kqh, kqw, wh, ww, into_out)
+    mask = out > 0.0 if relu else None
+    if relu:   # in place on the fresh output, as np.where(mask, out, 0.0)
+        np.copyto(out, 0.0, where=~mask)
     need_dx = x.requires_grad or x._tape is not None
 
     def backward(g):
         nonlocal xc
         g = g.reshape(b, c_out, oh, ow)
+        if relu:
+            g = g * mask
         by_phase = [g[:, :, r::scale, s::scale].transpose(1, 0, 2, 3) for r, s in phases]
         gc = _padded((q * c_out, n),
                      lambda a: [a.reshape(c_out, q, b, hp, wp)[:, i] for i in range(q)],
@@ -638,6 +653,35 @@ def _phase_axis(n: int, k: int, p: int, scale: int):
     return kq, lo, size, starts, counts, fold
 
 
+@functools.lru_cache(maxsize=None)
+def _phase_maps(fold_h: tuple, fold_w: tuple, flip: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The two 0/1 matrices ``_phase_kernels`` multiplies by: ``to_rows``
+    [kH*kW, S*kqh*kW] takes tap (a, b) to row sum (r, t, b), and
+    ``to_phases`` [S*kqh*kW, S, S, kqh, kqw] row sum (r, t, b) to phase tap
+    (r, s, t, u), t and u reversed with ``flip``.  They depend on the
+    geometry alone, so they are built once per geometry and cached, and
+    are read-only, as every caller and worker shares them.
+    """
+    scale, kh, kw = len(fold_h), len(fold_h[0]), len(fold_w[0])
+    kqh, kqw = max(map(max, fold_h)) + 1, max(map(max, fold_w)) + 1
+    to_rows = np.zeros((kh, kw, scale, kqh, kw))
+    to_phases = np.zeros((scale, kqh, kw, scale, scale, kqh, kqw))
+    for r in range(scale):
+        for a, t in enumerate(fold_h[r]):
+            to_rows[a, :, r, t] = np.eye(kw)
+        for s in range(scale):
+            for b, u in enumerate(fold_w[s]):
+                for t in range(kqh):
+                    if flip:
+                        to_phases[r, t, b, r, s, kqh - 1 - t, kqw - 1 - u] = 1.0
+                    else:
+                        to_phases[r, t, b, r, s, t, u] = 1.0
+    maps = to_rows.reshape(kh * kw, -1), to_phases.reshape(-1, scale, scale, kqh, kqw)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
 def _phase_kernels(k: np.ndarray, fold_h: Sequence, fold_w: Sequence,
                    flip: bool = False) -> np.ndarray:
     """The phase kernels of ``k`` [C_out, C_in, kH, kW], [C_out, S, S, C_in,
@@ -656,29 +700,15 @@ def _phase_kernels(k: np.ndarray, fold_h: Sequence, fold_w: Sequence,
     at a time, output channels (input channels with ``flip``) whose row
     sums take about ``_KERNEL_BLOCK_BYTES``, so ``k`` is read once, in
     place, and the row sums stay in cache; ``_by_channel`` deals the
-    blocks.
+    blocks.  The 0/1 matrices depend on the geometry alone and come from
+    the cache of ``_phase_maps``.
     """
     scale = len(fold_h)
     if scale == 1:
         return k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) if flip else k
     c_out, c_in, kh, kw = k.shape
-    kqh, kqw = max(map(max, fold_h)) + 1, max(map(max, fold_w)) + 1
-    # tap (a, b) to row sum (r, t, b), and row sum (r, t, b) to phase tap
-    # (r, s, t, u), t and u reversed with flip
-    to_rows = np.zeros((kh, kw, scale, kqh, kw))
-    to_phases = np.zeros((scale, kqh, kw, scale, scale, kqh, kqw))
-    for r in range(scale):
-        for a, t in enumerate(fold_h[r]):
-            to_rows[a, :, r, t] = np.eye(kw)
-        for s in range(scale):
-            for b, u in enumerate(fold_w[s]):
-                for t in range(kqh):
-                    if flip:
-                        to_phases[r, t, b, r, s, kqh - 1 - t, kqw - 1 - u] = 1.0
-                    else:
-                        to_phases[r, t, b, r, s, t, u] = 1.0
-    width = scale * kqh * kw
-    to_rows = to_rows.reshape(kh * kw, width)
+    to_rows, to_phases = _phase_maps(fold_h, fold_w, flip)
+    width, _, _, kqh, kqw = to_phases.shape
     taps = k.reshape(c_out, c_in, kh * kw)
     if flip:
         out = np.empty((c_in, c_out, scale, scale, kqh, kqw))

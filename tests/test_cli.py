@@ -407,9 +407,12 @@ TRAIN = ["train", "--dataset", "data", "--preset", "seg-desk"]
     (PIPELINE + ["--offset", "inf"], 2),
     (PIPELINE + ["--window", "4"], 2),
     (["eval", "--dataset", "data", "--weights", "seg.cmtw", "--threshold", "nan"], 2),
+    (["gen-data", "--kind", "infection", "--count", "2", "--size", "0"], 2),
+    (["gen-data", "--kind", "segmentation", "--count", "2", "--size", "-32"], 2),
 ], ids=["pipeline-no-input-loads", "gen-data-count-off-ratio", "train-lr-nan",
         "train-lr-inf", "pipeline-threshold-nan", "pipeline-offset-inf",
-        "pipeline-window-even", "eval-threshold-nan"])
+        "pipeline-window-even", "eval-threshold-nan", "gen-data-size-0",
+        "gen-data-size-negative"])
 def test_failed_command_leaves_no_out(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seg.cmtw").write_bytes(model_file(get_preset("seg-desk").model))

@@ -253,6 +253,15 @@ def test_nabla3_seg_desk_batch_of_one_matches_row_of_batch_bitwise():
         assert np.array_equal(full[i], model.forward(Tensor(batch.data[i:i + 1])).data[0])
 
 
+def test_nabla3_seg_desk_forward_records_one_node_a_conv():
+    # 19 convs (18 with their relu fused), 5 pools, the concat and the
+    # sigmoid; a relu split back out of its conv would add 18
+    model = build_model(get_preset("seg-desk").model, seed=38)
+    with Tape() as tape:
+        model.forward(rand_image((2, 1, 64, 64), seed=39))
+    assert len(tape) == 26
+
+
 def test_nabla3_rejects_indivisible_input():
     with pytest.raises(ValueError):
         build_model(ModelConfig("nabla3", (1, 100, 100)))

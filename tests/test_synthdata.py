@@ -35,6 +35,9 @@ def test_spec_validation():
         SynthSpec(count=0)
     with pytest.raises(ValueError):
         SynthSpec(count=4, size=40)
+    for size in (0, -32):
+        with pytest.raises(ValueError, match="size must be a positive multiple of 32"):
+            SynthSpec(count=4, size=size)
     with pytest.raises(ValueError):
         SynthSpec(count=4, class_ratio=(0, 1))
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import select
@@ -109,16 +110,19 @@ SMALL_COLS_BYTES = [1, 5000, 20000, 30000]
 
 
 def check_conv2d_forward_batch_invariance(upsample=False):
-    # with upsample the 4x4 input is conv'd at 8x8, so the columns match
+    # with upsample the 4x4 input is conv'd at 8x8, so the columns match;
+    # each check runs with and without the fused relu
     side = 4 if upsample else 8
     rng = DetRng(4)
     batch = Tensor(rng.normal(4 * 2 * side * side).reshape(4, 2, side, side))
     k = rand_tensor((3, 2, 3, 3), seed=5)
     b = rand_tensor((3,), seed=6)
-    full = conv2d(batch, k, b, padding=1, upsample=upsample).data
-    for i in range(4):
-        single = conv2d(Tensor(batch.data[i:i + 1]), k, b, padding=1, upsample=upsample).data
-        assert np.array_equal(full[i], single[0])
+    for relu_ in (False, True):
+        full = conv2d(batch, k, b, padding=1, upsample=upsample, relu=relu_).data
+        for i in range(4):
+            single = conv2d(Tensor(batch.data[i:i + 1]), k, b, padding=1,
+                            upsample=upsample, relu=relu_).data
+            assert np.array_equal(full[i], single[0])
 
 
 def test_conv2d_batched_matches_per_sample_bitwise():
@@ -215,17 +219,18 @@ def check_conv2d_input_gradient_batch_invariance(upsample=False):
     b = rand_tensor((3,), seed=16, requires_grad=True)
     upstream = rand_tensor((4, 3, 8, 8), seed=17)
 
-    def input_grad(x, g):
+    def input_grad(x, g, relu_):
         x = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = conv2d(x, k, b, padding=1, upsample=upsample)
+            out = conv2d(x, k, b, padding=1, upsample=upsample, relu=relu_)
             loss = sum_all(mul(out, Tensor(g)))
         return out.data, tape.backward(loss)[x]
 
-    _, full = input_grad(batch.data, upstream.data)
-    for i in range(4):
-        single = input_grad(batch.data[i:i + 1], upstream.data[i:i + 1])[1]
-        assert np.array_equal(full[i], single[0])
+    for relu_ in (False, True):
+        _, full = input_grad(batch.data, upstream.data, relu_)
+        for i in range(4):
+            single = input_grad(batch.data[i:i + 1], upstream.data[i:i + 1], relu_)[1]
+            assert np.array_equal(full[i], single[0])
 
 
 def test_conv2d_input_gradient_batched_matches_per_sample_bitwise():
@@ -622,6 +627,9 @@ def test_conv2d_forward_byte_equal_to_brute_gemm(k, padding, batch):
     expected += b.data[:, None]
     out = conv2d(Tensor(x), kern, b, padding=padding).data
     assert out.tobytes() == expected.reshape(batch, 5, oh, ow).tobytes()
+    out = conv2d(Tensor(x), kern, b, padding=padding, relu=True).data
+    assert out.tobytes() == np.where(expected > 0.0, expected, 0.0).reshape(
+        batch, 5, oh, ow).tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -982,6 +990,57 @@ def test_phase_axis_at_scale_1_is_the_conv_itself(n, k, p):
         k, p, n + 2 * p, (0,), (n + 2 * p - k + 1,), (tuple(range(k)),))
 
 
+def phase_kernels_brute(k, fold_h, fold_w):
+    """[C_out, S, S, C_in, kqh, kqw]: phase tap (t, u) of phase (r, s) sums
+    the row sums ``k[a0, b] + k[a1, b]`` over the b that fold to u, a tap a
+    at a time, as ``_phase_kernels`` groups them."""
+    kqh, kqw = max(map(max, fold_h)) + 1, max(map(max, fold_w)) + 1
+    scale = len(fold_h)
+    out = np.zeros((k.shape[0], scale, scale, k.shape[1], kqh, kqw))
+    for r, s in itertools.product(range(scale), repeat=2):
+        for t, u in itertools.product(range(kqh), range(kqw)):
+            row_sums = [sum((k[:, :, a, b] for a, ta in enumerate(fold_h[r]) if ta == t),
+                            np.zeros(k.shape[:2]))
+                        for b, ub in enumerate(fold_w[s]) if ub == u]
+            out[:, r, s, :, t, u] = sum(row_sums, np.zeros(k.shape[:2]))
+    return out
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("kh,kw,p", [(3, 3, 1), (3, 3, 0), (2, 2, 0), (5, 5, 2), (1, 4, 2)])
+def test_phase_kernels_at_scale_2_equal_a_per_tap_sum(kh, kw, p, flip):
+    k = rand_tensor((4, 3, kh, kw), seed=70).data
+    fold_h, fold_w = (tensor_module._phase_axis(5, n, p, 2)[5] for n in (kh, kw))
+    want = phase_kernels_brute(k, fold_h, fold_w)
+    if flip:   # each phase's taps reversed, as [C_in, C_out, S, S, kqh, kqw]
+        want = want[..., ::-1, ::-1].transpose(3, 0, 1, 2, 4, 5)
+    got = tensor_module._phase_kernels(k, fold_h, fold_w, flip=flip)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_phase_kernels_at_scale_1_are_the_kernels_themselves():
+    k = rand_tensor((2, 3, 3, 3), seed=71).data
+    k[0, 1, 2, 0] = -0.0
+    fold = tensor_module._phase_axis(4, 3, 1, 1)[5]
+    assert tensor_module._phase_kernels(k, fold, fold) is k
+    flipped = tensor_module._phase_kernels(k, fold, fold, flip=True)
+    assert flipped.tobytes() == np.ascontiguousarray(
+        k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).tobytes()
+    assert np.signbit(flipped[1, 0, 0, 2])
+
+
+def test_phase_maps_are_read_only():
+    # cached and shared by every call and worker: a write must raise
+    fold_h, fold_w = (tensor_module._phase_axis(4, 3, 1, 2)[5],) * 2
+    for flip in (False, True):
+        maps = tensor_module._phase_maps(fold_h, fold_w, flip)
+        assert maps is tensor_module._phase_maps(fold_h, fold_w, flip)
+        for m in maps:
+            with pytest.raises(ValueError):
+                m[(0,) * m.ndim] = 1.0
+
+
 # (batch, h, w, kernel, padding) for input [batch, 2, h, w]; a 3x3 kernel
 # needs padding on a 1-row input, whose upsample is 2 rows.  A 1x1 kernel
 # with padding 1 has output rows wholly on the padding.  The last three
@@ -1009,29 +1068,40 @@ def upsample_conv_case(batch, h, w, kh, kw, padding, integer):
     return [rng.standard_normal(shape) for shape in shapes]
 
 
-def fused_and_composed(x, kern, b, g, padding):
-    """(out, dx, dw, db) of ``conv2d(..., upsample=True)`` and of
-    ``conv2d(upsample2x(x), ...)`` under the upstream gradient ``g``."""
-    def run(fused):
-        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
-        with Tape() as tape:
-            out = (conv2d(xt, kt, bt, padding=padding, upsample=True) if fused
-                   else conv2d(upsample2x(xt), kt, bt, padding=padding))
-            loss = sum_all(mul(out, Tensor(g)))
-        grads = tape.backward(loss)
-        return out.data, grads[xt], grads[kt], grads[bt]
+def out_and_grads(conv, x, kern, b, g):
+    """(out, dx, dw, db) of ``conv(x, kern, b)`` under the upstream
+    gradient ``g``."""
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
+    with Tape() as tape:
+        out = conv(xt, kt, bt)
+        loss = sum_all(mul(out, Tensor(g)))
+    grads = tape.backward(loss)
+    return out.data, grads[xt], grads[kt], grads[bt]
 
-    return zip(run(True), run(False))
+
+def fused_and_composed(x, kern, b, g, padding, relu_=False):
+    """``out_and_grads`` of ``conv2d(..., upsample=True)`` and of
+    ``conv2d(upsample2x(x), ...)``, each pair zipped; with ``relu_``, of
+    ``conv2d(..., upsample=True, relu=True)`` and of
+    ``relu(conv2d(upsample2x(x), ...))``."""
+    def composed(xt, kt, bt):
+        out = conv2d(upsample2x(xt), kt, bt, padding=padding)
+        return relu(out) if relu_ else out
+
+    return zip(out_and_grads(lambda *a: conv2d(*a, padding=padding, upsample=True, relu=relu_),
+                             x, kern, b, g),
+               out_and_grads(composed, x, kern, b, g))
 
 
 @pytest.mark.parametrize("batch,h,w,k,padding", UPSAMPLE_CONV_GEOMETRIES)
 def test_upsample_conv2d_byte_equal_to_composition(batch, h, w, k, padding):
     # the sub-pixel form groups the sums differently, which no integer
-    # data can show
+    # data can show; integer pre-activations hit relu's kink at exactly 0
     case = upsample_conv_case(batch, h, w, k, k, padding, integer=True)
-    for got, want in fused_and_composed(*case, padding):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    for relu_ in (False, True):
+        for got, want in fused_and_composed(*case, padding, relu_):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch,h,w,k,padding", UPSAMPLE_CONV_GEOMETRIES)
@@ -1047,6 +1117,66 @@ def test_upsample_conv2d_non_square_kernels_byte_equal_to_composition(kh, kw, pa
     case = upsample_conv_case(2, 3, 2, kh, kw, padding, integer=True)
     for got, want in fused_and_composed(*case, padding):
         assert got.tobytes() == want.tobytes()
+
+
+def relu_fused_and_after(x, kern, b, g, padding, upsample):
+    """``out_and_grads`` of ``conv2d(..., relu=True)`` and of
+    ``relu(conv2d(...))``, each pair zipped."""
+    def conv(*a, **relu_):
+        return conv2d(*a, padding=padding, upsample=upsample, **relu_)
+
+    return zip(out_and_grads(lambda *a: conv(*a, relu=True), x, kern, b, g),
+               out_and_grads(lambda *a: relu(conv(*a)), x, kern, b, g))
+
+
+@pytest.mark.parametrize("upsample", [False, True])
+@pytest.mark.parametrize("batch,h,w,k,padding", [(1, 4, 5, 3, 1), (3, 4, 3, 3, 0),
+                                                 (2, 3, 2, 1, 0), (1, 3, 3, 5, 2)])
+def test_conv2d_relu_byte_equal_to_relu_after_conv2d(batch, h, w, k, padding, upsample):
+    scale = 2 if upsample else 1
+    x, kern, b, g = upsample_conv_case(batch, h, w, k, k, padding, integer=False)
+    g = g[:, :, :scale * h + 2 * padding - k + 1, :scale * w + 2 * padding - k + 1]
+    for got, want in relu_fused_and_after(x, kern, b, g, padding, upsample):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("upsample", [False, True])
+def test_conv2d_relu_is_zero_with_zero_gradient_at_zero_negative_zero_and_nan(
+        upsample, monkeypatch):
+    # a GEMM adds its products to +0.0, so it makes no -0.0 of its own: the
+    # forward's GEMM products 7, 11 and 13 are turned into 0.0, -0.0 and
+    # NaN, and an identity 1x1 conv with bias -0.0 keeps each as the
+    # pre-activation.  Each must come out +0.0 with gradient 0, as relu's do
+    real = tensor_module._conv_matmul
+
+    def fix(product):
+        for value, special in ((7.0, 0.0), (11.0, -0.0), (13.0, np.nan)):
+            product[product == value] = special
+        return product
+
+    def planted(wmat, xp, kh, kw, oh, ow, emit=None):
+        if emit is None:
+            return fix(real(wmat, xp, kh, kw, oh, ow))
+        return real(wmat, xp, kh, kw, oh, ow, lambda s, i, p: emit(s, i, fix(p)))
+
+    monkeypatch.setattr(tensor_module, "_conv_matmul", planted)
+    x = np.array([[[[7.0, 11.0, 13.0, 1.5, -2.0]]]])
+    kern, b = np.ones((1, 1, 1, 1)), np.array([-0.0])
+    scale = 2 if upsample else 1
+    want = np.array([[[[0.0, -0.0, np.nan, 1.5, -2.0]]]]).repeat(scale, 2).repeat(scale, 3)
+    pre = conv2d(Tensor(x), Tensor(kern), Tensor(b), upsample=upsample).data
+    assert pre.tobytes() == want.tobytes()
+    g = np.full(want.shape, -3.0)
+    pairs = list(relu_fused_and_after(x, kern, b, g, 0, upsample))
+    for got, after in pairs:
+        assert got.tobytes() == after.tobytes()
+    out, dx, dw, db = (got for got, _ in pairs)
+    assert out.tobytes() == np.where(want > 0.0, want, 0.0).tobytes()
+    assert not np.any(np.signbit(out))
+    assert dx.tolist() == [[[[0.0, 0.0, 0.0, -3.0 * scale * scale, 0.0]]]]
+    assert dw.tolist() == [[[[1.5 * -3.0 * scale * scale]]]]
+    assert db.tolist() == [-3.0 * scale * scale]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1412,6 +1542,10 @@ def _fd_cases():
         "upsample2x": (
             lambda ts: mul(upsample2x(ts[0]), Tensor(np.arange(16.0).reshape(1, 1, 4, 4))),
             [(1, 1, 2, 2)],
+        ),
+        "conv2d_relu": (
+            lambda ts: conv2d(ts[0], ts[1], ts[2], padding=1, relu=True),
+            [(1, 2, 5, 5), (3, 2, 3, 3), (3,)],
         ),
         "upsample_conv2d": (
             lambda ts: mul(conv2d(ts[0], ts[1], ts[2], padding=1, upsample=True),
