@@ -352,14 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser(
         "eval", help="score weights against a labeled corpus",
-        description="Score weights against a labeled corpus. The network, and so the "
-                    "corpus kind (classification for irrcnn, segmentation for nabla3) "
-                    "and the input size the images are resized to, come from the "
-                    "weight file; a CMTW version 1 file exits with code 4.")
+        description="Score weights against a labeled corpus. The network, and so the corpus kind "
+                    "(classification for irrcnn; segmentation, scored whole as --part splits only "
+                    "classification, for nabla3) and the input size the images are resized to, "
+                    "come from the weight file; a CMTW version 1 file exits with code 4.")
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--weights", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--part", choices=("train", "test"), default="test")
+    ev.add_argument("--part", choices=("train", "test"), default="test",
+                    help="classification split to score; a segmentation corpus is whole")
     ev.add_argument("--threshold", type=_finite, default=DEFAULT_THRESHOLD)
     ev.set_defaults(func=cmd_eval)
 

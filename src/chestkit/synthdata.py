@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kvtext
-from .imaging import load_image, load_mask, save_image, save_mask
+from .imaging import PnmFormatError, load_image, load_mask, save_image, save_mask
 from .postproc import (
     InfectionReport,
     close_mask,
@@ -305,6 +305,14 @@ def write_classification_corpus(root, spec: SynthSpec) -> None:
     (root / "manifest.txt").write_text(_manifest_text("classification", spec, counts))
 
 
+def _load_gray(path: Path) -> np.ndarray:
+    """The corpus image at ``path``; ``PnmFormatError`` names a colour one."""
+    img = load_image(path.read_bytes())
+    if img.ndim != 2:
+        raise PnmFormatError(f"{path}: corpus images must be single-channel PGM")
+    return img
+
+
 def load_classification_corpus(root, part: str = "train") -> LabeledDataset:
     root = Path(root)
     base = root / part
@@ -317,7 +325,7 @@ def load_classification_corpus(root, part: str = "train") -> LabeledDataset:
     labels: list[int] = []
     for cls, directory in enumerate(class_dirs):
         for path in sorted(directory.glob("*.pgm")):
-            images.append(load_image(path.read_bytes()))
+            images.append(_load_gray(path))
             labels.append(cls)
     if not images:
         raise FileNotFoundError(f"no .pgm samples under {base}")
@@ -349,7 +357,7 @@ def load_segmentation_corpus(root) -> LabeledDataset:
         mask_path = mask_dir / path.name
         if not mask_path.exists():
             raise FileNotFoundError(f"no mask for {path.name}")
-        images.append(load_image(path.read_bytes()))
+        images.append(_load_gray(path))
         masks.append(load_mask(mask_path.read_bytes()))
     if not images:
         raise FileNotFoundError(f"no .pgm samples under {image_dir}")
@@ -379,7 +387,7 @@ def load_infection_corpus(root) -> list[InfectionSample]:
     for path in sorted(image_dir.glob("*.pgm")):
         stem = path.stem
         samples.append(InfectionSample(
-            image=load_image(path.read_bytes()),
+            image=_load_gray(path),
             lung_mask=load_mask((root / "masks" / f"{stem}.pgm").read_bytes()),
             infected_mask=load_mask((root / "infected" / f"{stem}.pgm").read_bytes()),
             report=report_from_text((root / "reports" / f"{stem}.txt").read_text()),

@@ -14,10 +14,11 @@ needs; it never holds its output.  So a forward intermediate that no
 closure saved (a conv's pre-activation, a relu output) is freed as soon
 as the forward drops it, and backward releases each node, closure and
 saved arrays included, once it has run.  A conv keeps its padded input
-buffer, and lets go of it once its weight gradient is made.  A relu keeps
-its bool mask, whether it is its own node or fused into the conv before
-it (``conv2d(..., relu=True)``), which applies it in place on the conv's
-fresh output and so makes neither a second map nor a second node.
+buffer until its weight gradient is made; both its gradients read one
+padded copy of the output gradient.  A relu keeps its bool mask, whether
+it is its own node or fused into the conv before it (``conv2d(...,
+relu=True)``), which applies it in place on the conv's fresh output and
+so makes neither a second map nor a second node.
 ``conv2d(..., upsample=True)``, a conv over the 2x upsample of its input,
 runs as four convs of the input itself, one per output phase, so no 4x map
 is ever made; a plain conv is the one-phase case of the same code.
@@ -26,31 +27,29 @@ Ops take batches: the spatial ops and ``concat_channels`` take
 [B, C, H, W], ``dense`` [B, F] and ``softmax`` [B, K]; one sample is a
 batch of one.  ``conv2d`` alone also takes one [C, H, W] image.  Ops are
 pure functions: they never mutate their inputs and identical inputs
-produce bit-identical outputs.  Forwards and input
-gradients compute each sample on its own: ``dense`` with a GEMV per
-sample, ``conv2d`` with GEMMs over blocks of several whole samples or of
-rows of one large sample.  So each sample's result is independent of the
-rest of the batch to the last bit; a weight gradient sums over it.
+produce bit-identical outputs.  Forwards and input gradients compute each
+sample on its own: ``dense`` with a GEMV per sample, ``conv2d`` with GEMMs
+over blocks of several whole samples or of rows of one large sample.  So
+each sample's result is independent of the rest of the batch to the last
+bit; a weight gradient sums over it.
 
 A ``conv2d`` call with at least ``_SPLIT_FLOPS`` of GEMM work deals its
 independent GEMMs (the column blocks of the forward and of ``dx``, the
 kernel taps of ``dw``) to a pool of ``_WORKERS`` threads: one per CPU the
-process may run on, at most two.
-Its memory passes go to the same pool, one contiguous channel slab per
-worker, when the pass's largest array has at least ``_SPLIT_BYTES``: the
-copies into the padded buffers of the input and of the output gradient
-(``_padded``), and with ``upsample`` the making of the phase kernels and
-the fold of ``dw``'s phase taps.  ``deal_memory`` offers the same rule to
-other modules; ``training.adam_step`` deals its blocks of parameter rows
-through it.
-The large arrays of these passes are made on the calling thread.  Each
-unit of work keeps its shape and operands and writes only its own slice
-of the output, so every byte is the same as on one thread, whatever the
-worker count; numpy releases the GIL in ``matmul``, in array copies and
-in arithmetic.
-Workers run numpy only: the tape belongs to the calling thread and they
-never record.  The pool starts on first use, and a forked child starts a
-pool of its own.
+process may run on, at most two.  Its memory passes go to the same pool,
+one contiguous channel slab per worker, when the pass's largest array has
+at least ``_SPLIT_BYTES``: the copies into the padded buffers of the input
+and, once a backward, of the output gradient (``_padded``), and with
+``upsample`` the making of the phase kernels and the fold of ``dw``'s
+phase taps.  ``deal_memory`` offers the same rule to other modules;
+``training.adam_step`` deals its blocks of parameter rows through it.  The
+large arrays of these passes are made on the calling thread.  Each unit of
+work keeps its shape and operands and writes only its own slice of the
+output, so every byte is the same as on one thread, whatever the worker
+count; numpy releases the GIL in ``matmul``, in array copies and in
+arithmetic.  Workers run numpy only: the tape belongs to the calling
+thread and they never record.  The pool starts on first use, and a forked
+child starts a pool of its own.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -377,22 +376,14 @@ def _padded(shape: tuple[int, ...], as_maps: Callable[[np.ndarray], Sequence[np.
             places: Sequence[tuple[np.ndarray, int, int]]) -> np.ndarray:
     """``np.zeros(shape)`` that holds each ``(src, top, left)`` of ``places``,
     ``src`` [C, B, h, w], at (top, left) of the matching channel-first view
-    of ``as_maps(buf)``, [C, B, H, W]; rows and columns of ``src`` that
-    fall outside the view are left out.  ``_by_channel`` deals the copies."""
+    of ``as_maps(buf)``, [C, B, H, W].  ``_by_channel`` deals the copies."""
     buf = np.zeros(shape)
-    copies = []
-    for maps, (src, top, left) in zip(as_maps(buf), places):
-        (h, w), (hb, wb) = src.shape[2:], maps.shape[2:]
-        i0, j0 = max(0, -top), max(0, -left)
-        i1, j1 = max(i0, min(h, hb - top)), max(j0, min(w, wb - left))
-        copies.append((maps[..., top + i0:top + i1, left + j0:left + j1],
-                       src[..., i0:i1, j0:j1]))
 
     def part(s):
-        for view, src in copies:
-            view[s] = src[s]
+        for maps, (src, top, left) in zip(as_maps(buf), places):
+            maps[s, :, top:top + src.shape[2], left:left + src.shape[3]] = src[s]
 
-    _by_channel(part, len(copies[0][0]), buf.nbytes)
+    _by_channel(part, len(places[0][0]), buf.nbytes)
     return buf
 
 
@@ -480,15 +471,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     sample's output is independent of the batch; at scale 2 each block of
     the product goes straight to ``out[..., r::2, s::2]``, plus the bias.
     Backward stacks the phases' gradients the same way, each at the place
-    of its windows.  ``dw`` is one GEMM per phase tap over the batch
-    (``_tap_grads``): that stack times ``xc`` shifted by the tap, where
-    columns that wrap into the next row or sample meet its zeros; at scale
-    2 each kernel tap is then the sum of the four phase taps it went into.
-    ``dx``, None for an input that neither requires grad nor was recorded,
-    is one ``_conv_matmul`` of the stack, zero-padded by kq-1, with the
-    flipped phase kernels.  The closure retains only ``xc``, and lets go
-    of it once ``dw`` is made.  A 1x1 conv of one sample with no padding
-    uses the input itself as ``xc``.
+    of its windows, in one buffer ``gc`` with zeros in front.  ``dw`` is one
+    GEMM per phase tap over the batch (``_tap_grads``): that stack times
+    ``xc`` shifted by the tap, where columns that wrap into the next row or
+    sample meet its zeros; at scale 2 each kernel tap is then the sum of the
+    four phase taps it went into.  ``dx``, None for an input that neither
+    requires grad nor was recorded, is one ``_conv_matmul`` of the flipped
+    phase kernels over ``gc`` seen from kq-1 rows and columns before the
+    input.  The closure keeps only ``xc``, and lets go of it once ``dw`` is
+    made.  A 1x1 conv of one sample with no padding uses the input as ``xc``.
 
     With ``relu`` the result is ``relu(conv2d(...))`` to the last bit, in
     one tape node: after the bias add, ``mask = out > 0`` and every other
@@ -561,12 +552,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         g = g.reshape(b, c_out, oh, ow)
         if relu:
             g = g * mask
-        by_phase = [g[:, :, r::scale, s::scale].transpose(1, 0, 2, 3) for r, s in phases]
-        gc = _padded((q * c_out, n),
-                     lambda a: [a.reshape(c_out, q, b, hp, wp)[:, i] for i in range(q)],
-                     [(gp, rows[r], cols[s]) for gp, (r, s) in zip(by_phase, phases)])
-        dq = _tap_grads(gc, xc, kqh, kqw, wp).reshape(kqh, kqw, c_out, q, c_in)
-        del gc
+        shift = (kqh - 1 - top) * wp + kqw - 1 - left
+        lead = max(0, shift)   # dx's maps start `shift` columns before the gradient
+        gc = _padded((q * c_out, lead + n),
+                     lambda a: [a[:, lead:].reshape(c_out, q, b, hp, wp)[:, i] for i in range(q)],
+                     [(g[:, :, r::scale, s::scale].transpose(1, 0, 2, 3), rows[r], cols[s])
+                      for r, s in phases])
+        dq = _tap_grads(gc[:, lead:], xc, kqh, kqw, wp).reshape(kqh, kqw, c_out, q, c_in)
         if scale == 1:
             dw = dq[:, :, :, 0]
         else:
@@ -586,20 +578,18 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
         db = g.reshape(b, c_out, oh * ow).sum(axis=(0, 2))
         if not need_dx:
             return None, dw, db
-        # xc is read no more: the closure lets go of it before dx's buffers
-        # are made, so an input nothing else holds is freed in time (at
-        # 256 px, the head's 25 MB input makes room for its 25 MB dx)
+        # xc goes before dx is made, so an input nothing else holds is freed in
+        # time (at 256 px, the head's 25 MB input makes room for its 25 MB dx)
         xc = None
         # dx sums the full correlation of each phase's gradient with its
-        # flipped phase kernels, less the rows and columns of the padding
-        hz, wz = h + kqh - 1, w + kqw - 1
-        gz = _padded((b, q * c_out, hz, wz),
-                     lambda a: [a.reshape(b, c_out, q, hz, wz)[:, :, i].transpose(1, 0, 2, 3)
-                                for i in range(q)],
-                     [(gp, rows[r] - top + kqh - 1, cols[s] - left + kqw - 1)
-                      for gp, (r, s) in zip(by_phase, phases)])
+        # flipped phase kernels, less the rows and columns of the padding;
+        # gc's maps end in kq-1 zero rows and columns (_phase_axis)
+        gmaps = np.lib.stride_tricks.as_strided(
+            gc[:, lead - shift:], (b, q * c_out, h + kqh - 1, w + kqw - 1),
+            (hp * wp * gc.itemsize, gc.strides[0], wp * gc.itemsize, gc.itemsize),
+            writeable=False)
         wflip = _phase_kernels(kernels.data, fold_h, fold_w, flip=True).reshape(c_in, -1)
-        dx = _conv_matmul(wflip, gz, kqh, kqw, h, w).reshape(b, c_in, h, w)
+        dx = _conv_matmul(wflip, gmaps, kqh, kqw, h, w).reshape(b, c_in, h, w)
         return (dx[0] if single else dx), dw, db
 
     return _record(Tensor(out[0] if single else out), (x, kernels, bias), backward)

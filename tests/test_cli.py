@@ -14,7 +14,7 @@ import pytest
 
 from chestkit import kvtext
 from chestkit.cli import build_parser, run
-from chestkit.imaging import load_image, load_mask
+from chestkit.imaging import load_image, load_mask, save_image
 from chestkit.models import ModelConfig, build_model, load_weights, save_weights
 from chestkit.postproc import report_from_text
 from chestkit.metrics import evaluate_classifier, metrics_from_text, metrics_to_text
@@ -397,8 +397,11 @@ TRAIN = ["train", "--dataset", "data", "--preset", "seg-desk"]
 
 
 # a bad flag exits 2 before any file is read: with one the check missed,
-# the missing image or dataset would exit 3 instead
+# the missing image or dataset would exit 3 instead.  A colour image in a
+# corpus is a data error, 3, whichever command reads it
 @pytest.mark.parametrize("argv, code", [
+    (["train", "--dataset", "rgb", "--preset", "xray-det-desk", "--epochs", "1"], 3),
+    (["eval", "--dataset", "rgb", "--weights", "det.cmtw"], 3),
     (PIPELINE, 3),
     (["gen-data", "--kind", "classification", "--count", "5"], 2),
     (TRAIN + ["--lr", "nan"], 2),
@@ -409,13 +412,20 @@ TRAIN = ["train", "--dataset", "data", "--preset", "seg-desk"]
     (["eval", "--dataset", "data", "--weights", "seg.cmtw", "--threshold", "nan"], 2),
     (["gen-data", "--kind", "infection", "--count", "2", "--size", "0"], 2),
     (["gen-data", "--kind", "segmentation", "--count", "2", "--size", "-32"], 2),
-], ids=["pipeline-no-input-loads", "gen-data-count-off-ratio", "train-lr-nan",
+], ids=["train-rgb-image", "eval-rgb-image",
+        "pipeline-no-input-loads", "gen-data-count-off-ratio", "train-lr-nan",
         "train-lr-inf", "pipeline-threshold-nan", "pipeline-offset-inf",
         "pipeline-window-even", "eval-threshold-nan", "gen-data-size-0",
         "gen-data-size-negative"])
 def test_failed_command_leaves_no_out(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seg.cmtw").write_bytes(model_file(get_preset("seg-desk").model))
+    if "rgb" in argv:
+        (tmp_path / "det.cmtw").write_bytes(model_file(get_preset("xray-det-desk").model))
+        rgb = gen(tmp_path, count=10, name="rgb")
+        for part in ("train", "test"):
+            (rgb / part / "normal" / "0000.pgm").write_bytes(
+                save_image(np.zeros((32, 32, 3), np.uint8)))
     assert run(argv + ["--out", "o"]) == code
     assert not (tmp_path / "o").exists()
 

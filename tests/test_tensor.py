@@ -364,11 +364,11 @@ def test_conv2d_reads_no_memory_it_did_not_write(upsample, workers, monkeypatch)
 
 
 # the channels of each memory pass of conv_bytes_and_nodes, c_in 2 and
-# c_out 3: the xc fill, then the gc scatter and the gz spread in backward.
-# With upsample also the phase kernels (by c_out) in the forward, and in
-# backward the fold of dw's phase taps and the flipped phase kernels (by
-# c_in)
-MEMORY_PASS_CHANNELS = {False: [2, 3, 3], True: [2, 3, 3, 3, 3, 2]}
+# c_out 3: the xc fill, then the gc scatter in backward, whose one buffer
+# both dw and dx read.  With upsample also the phase kernels (by c_out) in
+# the forward, and in backward the fold of dw's phase taps and the flipped
+# phase kernels (by c_in)
+MEMORY_PASS_CHANNELS = {False: [2, 3], True: [2, 3, 3, 3, 2]}
 
 
 @pytest.mark.parametrize("upsample", [False, True])
@@ -632,8 +632,15 @@ def test_conv2d_forward_byte_equal_to_brute_gemm(k, padding, batch):
         batch, 5, oh, ow).tobytes()
 
 
+# (kernel, padding) of plain convs over [batch, 3, 9, 7]: 1x1 unpadded and
+# padded by 1, whose border outputs lie wholly on the padding and whose dx
+# windows start after the gradient; a valid 3x3, whose dx windows start
+# before it; 3x3 and 5x5 padded by k // 2; and a 3x3 padded by k - 1
+PLAIN_CONV_GEOMETRIES = [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (5, 2)]
+
+
 @pytest.mark.parametrize("batch", [1, 4])
-@pytest.mark.parametrize("k,padding", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("k,padding", PLAIN_CONV_GEOMETRIES)
 def test_conv2d_kernel_gradient_matches_per_sample_oracle(k, padding, batch):
     # C_in != C_out on a non-square input: a wrapped read that missed its
     # zero in the gradient buffer would land on real pixels and show here
@@ -649,6 +656,33 @@ def test_conv2d_kernel_gradient_matches_per_sample_oracle(k, padding, batch):
     # against the largest entry, since one entry can be a near-cancellation
     brute = conv_dw_brute(x.data, upstream.data, k, k, padding)
     assert np.max(np.abs(dw - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+
+def conv_dx_brute(g, kern, h, w, padding):
+    """Input gradient as the full correlation of ``g`` with the flipped
+    kernels: ``g`` zero-placed at offset k-1-padding of [B, C_out, h+k-1,
+    w+k-1] maps (its rows and columns on the padding left out), then one
+    GEMM of the flipped kernels over the brute gather, [C_in, C_out*k*k]
+    times [B, C_out*k*k, h*w], the shape conv2d's own GEMM has."""
+    c_in, k = kern.shape[1], kern.shape[2]
+    gz = pad_spatial(g, k - 1)[:, :, padding:padding + h + k - 1, padding:padding + w + k - 1]
+    wflip = kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    return np.matmul(wflip, conv_cols_brute(gz, k, k, h, w)).reshape(len(g), c_in, h, w)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("k,padding", PLAIN_CONV_GEOMETRIES)
+def test_conv2d_input_gradient_byte_equal_to_padded_gradient_oracle(k, padding, batch):
+    # dx reads the gradient buffer dw reads, through a shifted window view
+    x = rand_tensor((batch, 3, 9, 7), seed=53, requires_grad=True)
+    kern = rand_tensor((5, 3, k, k), seed=54)
+    b = rand_tensor((5,), seed=55)
+    oh, ow = 9 + 2 * padding - k + 1, 7 + 2 * padding - k + 1
+    upstream = rand_tensor((batch, 5, oh, ow), seed=56)
+    with Tape() as tape:
+        loss = sum_all(mul(conv2d(x, kern, b, padding=padding), upstream))
+    dx = tape.backward(loss)[x]
+    assert dx.tobytes() == conv_dx_brute(upstream.data, kern.data, 9, 7, padding).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1117,6 +1151,40 @@ def test_upsample_conv2d_non_square_kernels_byte_equal_to_composition(kh, kw, pa
     case = upsample_conv_case(2, 3, 2, kh, kw, padding, integer=True)
     for got, want in fused_and_composed(*case, padding):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "upsample,batch,h,w,k,padding",
+    [(True, *geometry) for geometry in UPSAMPLE_CONV_GEOMETRIES]
+    + [(False, batch, 9, 7, k, padding)
+       for batch in (1, 4) for k, padding in PLAIN_CONV_GEOMETRIES])
+def test_conv2d_reads_only_inside_its_padded_buffers(upsample, batch, h, w, k, padding,
+                                                    monkeypatch):
+    # each buffer _padded makes is handed out as the middle third of a row
+    # of NaN: a window of the forward, of dw or of dx that reads outside xc
+    # or gc, by up to a whole row, turns a result NaN
+    scale = 2 if upsample else 1
+    oh, ow = scale * h + 2 * padding - k + 1, scale * w + 2 * padding - k + 1
+    rng = np.random.default_rng(batch * 1000 + h * 100 + w * 10 + k + padding)
+    case = [rng.standard_normal(shape)
+            for shape in [(batch, 2, h, w), (3, 2, k, k), (3,), (batch, 3, oh, ow)]]
+
+    def conv(*args):
+        return conv2d(*args, padding=padding, upsample=upsample)
+
+    want = out_and_grads(conv, *case)
+    padded = tensor_module._padded
+
+    def fenced(*args):
+        buf = padded(*args)
+        n = buf.shape[1]
+        wide = np.full((len(buf), 3 * n), np.nan)
+        wide[:, n:2 * n] = buf
+        return wide[:, n:2 * n]
+
+    monkeypatch.setattr(tensor_module, "_padded", fenced)
+    for got, expected in zip(out_and_grads(conv, *case), want):
+        assert got.tobytes() == expected.tobytes()
 
 
 def relu_fused_and_after(x, kern, b, g, padding, upsample):
