@@ -6,7 +6,10 @@ threshold, quantifies the infected fraction, and renders a red-blend
 heatmap:
 
     binarize -> close -> open -> connected components -> keep k largest
-    -> mask the image -> adaptive threshold -> percentage -> heatmap
+    -> adaptive threshold inside them -> percentage -> heatmap
+
+The chain takes a uint8 image. The threshold's roi masks it to the kept
+regions: no pixel outside them is read, so no masked copy is made.
 
 Conventions: binarization is strict ``> threshold`` (0.5 by default);
 refinement closes before opening with a 3x3 box element, the only element
@@ -37,10 +40,10 @@ REGIONS_PER_MODE = {"chest": 1, "lung": 2}
 
 
 def _as_mask(mask: np.ndarray, what: str = "mask") -> np.ndarray:
-    arr = np.asarray(mask)
+    arr = np.asarray(mask, dtype=bool)
     if arr.ndim != 2:
         raise ValueError(f"{what} must be 2-D, got shape {arr.shape}")
-    return arr.astype(bool)
+    return arr
 
 
 def binarize(prob_map: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -63,14 +66,14 @@ def _false_border(mask: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _box_reduce(mask: np.ndarray, radius: int, op) -> np.ndarray:
-    """``op`` (logical and/or) over each pixel's square box of side
-    2 * radius + 1, background outside: a row pass, then a column pass.
+def _box_reduce(padded: np.ndarray, radius: int, op) -> np.ndarray:
+    """``op`` (logical and/or) over every square box of side 2 * radius + 1
+    that fits in ``padded``: a row pass, then a column pass. The result is
+    ``2 * radius`` smaller on each axis; the caller pads the canvas.
 
     The passes take 4 * radius slice operations and hold no (2r+1)^2
     window axis, which for a radius-6 erosion at 256 px is 11 MB."""
-    h, w = mask.shape
-    padded = _false_border(mask, radius)
+    h, w = padded.shape[0] - 2 * radius, padded.shape[1] - 2 * radius
     rows = padded[:, :w].copy()
     for k in range(1, 2 * radius + 1):
         op(rows, padded[:, k:k + w], out=rows)
@@ -85,31 +88,27 @@ def erode(mask: np.ndarray, radius: int = 1) -> np.ndarray:
     border count as background."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return _box_reduce(_as_mask(mask), radius, np.logical_and)
+    return _box_reduce(_false_border(_as_mask(mask), radius), radius, np.logical_and)
 
 
 def dilate(mask: np.ndarray) -> np.ndarray:
     """Dilation by the 3x3 box."""
-    return _box_reduce(_as_mask(mask), 1, np.logical_or)
-
-
-def _padded_composition(mask: np.ndarray, first, second) -> np.ndarray:
-    # run the two steps on a canvas extended by the box radius so the
-    # intermediate result is not clipped at the border; this makes opening
-    # anti-extensive and closing extensive, matching unbounded morphology
-    mask = _as_mask(mask)
-    h, w = mask.shape
-    return second(first(_false_border(mask, 1)))[1:h + 1, 1:w + 1]
+    return _box_reduce(_false_border(_as_mask(mask), 1), 1, np.logical_or)
 
 
 def open_mask(mask: np.ndarray) -> np.ndarray:
-    """Erosion then dilation by the 3x3 box: removes specks it cannot hold."""
-    return _padded_composition(mask, erode, dilate)
+    """Erosion then dilation by the 3x3 box: removes specks it cannot hold.
+    Anti-extensive: each pixel it keeps lies in a box wholly in the mask."""
+    eroded = _box_reduce(_false_border(_as_mask(mask), 2), 1, np.logical_and)
+    return _box_reduce(eroded, 1, np.logical_or)
 
 
 def close_mask(mask: np.ndarray) -> np.ndarray:
-    """Dilation then erosion by the 3x3 box: fills holes it cannot hold."""
-    return _padded_composition(mask, dilate, erode)
+    """Dilation then erosion by the 3x3 box: fills holes it cannot hold.
+    Extensive: on the mask padded by 2, the dilation marks each mask pixel's
+    whole box, the ring outside the image included, and erosion keeps it."""
+    dilated = _box_reduce(_false_border(_as_mask(mask), 2), 1, np.logical_or)
+    return _box_reduce(dilated, 1, np.logical_and)
 
 
 @dataclass(frozen=True)
@@ -253,85 +252,72 @@ def apply_mask(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, img, 0).astype(img.dtype)
 
 
-def _packing_shift(canvas_size: int) -> int | None:
-    """The shift ``s`` that packs a roi pixel of a uint8 image as
-    ``(value << s) + 1`` in an int64 integral image of ``canvas_size``
-    entries, or None when the packed sums could overflow.
+def _packing_shift(pixels: int) -> int | None:
+    """The shift ``s`` that packs each roi pixel of a uint8 image holding
+    ``pixels`` pixels as ``(value << s) + 1`` in an int64 integral image, or
+    None when the packed sums could overflow.
 
     Every count is below ``2 ** s``, so it keeps the low ``s`` bits; every
     sum is below ``255 * 2 ** s``, so the largest packed sum is below
     ``2 ** (8 + 2 * s)``."""
-    s = canvas_size.bit_length()
+    s = pixels.bit_length()
     return s if 8 + 2 * s <= 63 else None
 
 
 def adaptive_threshold(image: np.ndarray, roi: np.ndarray,
                        window: int = DEFAULT_WINDOW,
                        offset: float = DEFAULT_OFFSET) -> np.ndarray:
-    """Local-mean thresholding restricted to a region of interest.
+    """Local-mean thresholding of a uint8 image inside a region of interest.
 
     A pixel is marked iff it lies in the roi and its value strictly
     exceeds the mean of the roi pixels inside its window x window
     neighborhood (clipped at the image border) plus the offset, which must
     be finite.  A window wider than twice the image's longer side covers
-    the whole image from every pixel, so it runs as that width.
+    the whole image from every pixel, so it runs as that width.  No pixel
+    outside the roi is read.  Any dtype but uint8, which is every image
+    chestkit loads, resizes or synthesises, raises ``ValueError``.
 
-    The window sums and counts are box sums of integral images (Crow
-    1984). A uint8 image, which is every image chestkit loads, resizes or
-    synthesises, takes one int64 table: each roi pixel holds
-    ``(value << s) + 1``, so a box sum unpacks to the sum of values
-    (``>> s``) and the count (the low ``s`` bits). Other dtypes take two
-    tables, counts in int64 and values in float64. Both give the same
-    bytes: every sum of a uint8 image is an integer below 2^53, which
-    float64 adds exactly in any order, and the comparison is the same
-    float64 ``value > sum / count + offset``. The packing is exact while
-    ``8 + 2 * s <= 63``, where ``s`` is the bit length of the padded
-    canvas's size (up to about 11k px a side); larger uint8 canvases take
-    the two tables.
+    The window sums and counts are box sums of one int64 integral image
+    (Crow 1984) in which each roi pixel holds ``(value << s) + 1``, so a box
+    sum unpacks to the sum of values (``>> s``) and the count (the low
+    ``s`` bits). No count exceeds ``h * w`` and no sum ``255 * h * w``, so
+    ``s`` is the bit length of ``h * w``: every image below 2^27 pixels
+    packs, at any window, and a larger one raises ``ValueError``.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     if not math.isfinite(offset):
         raise ValueError(f"offset must be finite, got {offset}")
     img = np.asarray(image)
+    if img.dtype != np.uint8:
+        raise ValueError(f"adaptive threshold needs a uint8 image, got {img.dtype}")
     roi = _as_mask(roi, "roi")
     if img.shape != roi.shape:
         raise ValueError(f"image {img.shape} and roi {roi.shape} differ")
     h, w = img.shape
+    shift = _packing_shift(h * w)
+    if shift is None:
+        raise ValueError(f"a {h}x{w} image is too large to threshold")
     r = min(window // 2, max(h, w))
     window = 2 * r + 1
-
-    def boxed(values, dtype):
-        # an integral image of the values on a canvas zero-padded by r, and
-        # by one more leading row and column, so every box sum is four
-        # shifted slices; the zeros add exactly, so each partial sum and each
-        # box sum equals that of the integral image clipped at the border.
-        # The sums run in place: at 256 px, window 15, that takes the two
-        # from 1.2 to 0.5 ms (one x86 core, numpy 2.4)
-        ii = np.zeros((h + window, w + window), dtype=dtype)
-        np.copyto(ii[r + 1:r + 1 + h, r + 1:r + 1 + w], values, where=roi)
-        np.cumsum(ii, axis=0, out=ii)
-        np.cumsum(ii, axis=1, out=ii)
-        box = ii[window:, window:] - ii[:h, window:]
-        box -= ii[window:, :w]
-        box += ii[:h, :w]
-        return box[roi]
-
-    shift = _packing_shift((h + window) * (w + window)) if img.dtype == np.uint8 else None
-    if shift is not None:
-        packed = img.astype(np.int64)
-        packed <<= shift
-        packed += 1
-        box = boxed(packed, np.int64)
-        sums = box >> shift
-        counts = box & ((1 << shift) - 1)
-    else:
-        img = img.astype(np.float64, copy=False)
-        counts = boxed(1, np.int64)
-        sums = boxed(img, np.float64)
+    # zero-padded by r, and by one more leading row and column, the table
+    # makes every box sum four shifted slices, equal to that of a table
+    # clipped at the border. The roi pixels are packed into it, and summed,
+    # in place: the sums take 0.5 ms at 256 px, not 1.2 (numpy 2.4)
+    ii = np.zeros((h + window, w + window), dtype=np.int64)
+    packed = ii[r + 1:r + 1 + h, r + 1:r + 1 + w]
+    np.copyto(packed, img, where=roi)
+    packed <<= shift
+    packed += roi
+    np.cumsum(ii, axis=0, out=ii)
+    np.cumsum(ii, axis=1, out=ii)
+    box = ii[window:, window:] - ii[:h, window:]
+    box -= ii[window:, :w]
+    box += ii[:h, :w]
+    box = box[roi]
     # a roi pixel's own window holds it, so its count is at least 1
     out = np.zeros((h, w), dtype=bool)
-    out[roi] = img[roi] > (sums / counts) + offset
+    out[roi] = img[roi] > ((box >> shift) / (box & ((1 << shift) - 1))) + offset
     return out
 
 
@@ -412,10 +398,9 @@ class OracleSegmenter:
     """
 
     def __init__(self, mask: np.ndarray):
-        mask = _as_mask(mask)
-        self.mask = mask
-        h, w = mask.shape
-        self.input_shape = (1, h, w)
+        # a copy: the caller may change its mask after building this
+        self.mask = _as_mask(mask).copy()
+        self.input_shape = (1, *self.mask.shape)
 
     def forward(self, batch: Tensor) -> Tensor:
         if batch.ndim != 4:
@@ -453,13 +438,12 @@ def run_pipeline(image: np.ndarray, seg_model, mode: str = "chest",
         raise ValueError(f"mode must be one of {sorted(REGIONS_PER_MODE)}")
     h, w = _model_input_hw(seg_model)
     resized = resize(np.asarray(image), w, h)
-    probs = seg_model.forward(to_batch([resized]))
-    mask = binarize(probs.data[0, 0], threshold)
+    # the probability map is freed once binarized: later stages reuse its pages
+    mask = binarize(seg_model.forward(to_batch([resized])).data[0, 0], threshold)
     refined = open_mask(close_mask(mask))
     regions = connected_components(refined, connectivity=8)
     region_mask = select_largest(regions, REGIONS_PER_MODE[mode], (h, w))
-    extracted = apply_mask(resized, region_mask)
-    infected = adaptive_threshold(extracted, region_mask, window, offset)
+    infected = adaptive_threshold(resized, region_mask, window, offset)
     report = infection_percentage(region_mask, infected)
     heatmap = heatmap_overlay(resized, infected)
     return PipelineResult(region_mask=region_mask, infected_mask=infected,

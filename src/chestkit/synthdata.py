@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kvtext
-from .imaging import PnmFormatError, load_image, load_mask, save_image, save_mask
+from .imaging import PnmFormatError, load_image, save_image, save_mask
 from .postproc import (
     InfectionReport,
     close_mask,
@@ -306,10 +306,10 @@ def write_classification_corpus(root, spec: SynthSpec) -> None:
 
 
 def _load_gray(path: Path) -> np.ndarray:
-    """The corpus image at ``path``; ``PnmFormatError`` names a colour one."""
+    """The corpus image or mask at ``path``; ``PnmFormatError`` names a colour one."""
     img = load_image(path.read_bytes())
     if img.ndim != 2:
-        raise PnmFormatError(f"{path}: corpus images must be single-channel PGM")
+        raise PnmFormatError(f"{path}: corpus images and masks must be single-channel PGM")
     return img
 
 
@@ -358,7 +358,7 @@ def load_segmentation_corpus(root) -> LabeledDataset:
         if not mask_path.exists():
             raise FileNotFoundError(f"no mask for {path.name}")
         images.append(_load_gray(path))
-        masks.append(load_mask(mask_path.read_bytes()))
+        masks.append(_load_gray(mask_path) > 0)
     if not images:
         raise FileNotFoundError(f"no .pgm samples under {image_dir}")
     return LabeledDataset(images=images, masks=masks)
@@ -388,8 +388,8 @@ def load_infection_corpus(root) -> list[InfectionSample]:
         stem = path.stem
         samples.append(InfectionSample(
             image=_load_gray(path),
-            lung_mask=load_mask((root / "masks" / f"{stem}.pgm").read_bytes()),
-            infected_mask=load_mask((root / "infected" / f"{stem}.pgm").read_bytes()),
+            lung_mask=_load_gray(root / "masks" / f"{stem}.pgm") > 0,
+            infected_mask=_load_gray(root / "infected" / f"{stem}.pgm") > 0,
             report=report_from_text((root / "reports" / f"{stem}.txt").read_text()),
         ))
     if not samples:

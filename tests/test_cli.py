@@ -398,9 +398,11 @@ TRAIN = ["train", "--dataset", "data", "--preset", "seg-desk"]
 
 # a bad flag exits 2 before any file is read: with one the check missed,
 # the missing image or dataset would exit 3 instead.  A colour image in a
-# corpus is a data error, 3, whichever command reads it
+# corpus is a data error, 3, whichever command reads it; a colour mask too,
+# and the error names the mask
 @pytest.mark.parametrize("argv, code", [
     (["train", "--dataset", "rgb", "--preset", "xray-det-desk", "--epochs", "1"], 3),
+    (["train", "--dataset", "rgb-mask", "--preset", "seg-desk", "--epochs", "1"], 3),
     (["eval", "--dataset", "rgb", "--weights", "det.cmtw"], 3),
     (PIPELINE, 3),
     (["gen-data", "--kind", "classification", "--count", "5"], 2),
@@ -412,12 +414,12 @@ TRAIN = ["train", "--dataset", "data", "--preset", "seg-desk"]
     (["eval", "--dataset", "data", "--weights", "seg.cmtw", "--threshold", "nan"], 2),
     (["gen-data", "--kind", "infection", "--count", "2", "--size", "0"], 2),
     (["gen-data", "--kind", "segmentation", "--count", "2", "--size", "-32"], 2),
-], ids=["train-rgb-image", "eval-rgb-image",
+], ids=["train-rgb-image", "train-rgb-mask", "eval-rgb-image",
         "pipeline-no-input-loads", "gen-data-count-off-ratio", "train-lr-nan",
         "train-lr-inf", "pipeline-threshold-nan", "pipeline-offset-inf",
         "pipeline-window-even", "eval-threshold-nan", "gen-data-size-0",
         "gen-data-size-negative"])
-def test_failed_command_leaves_no_out(tmp_path, monkeypatch, argv, code):
+def test_failed_command_leaves_no_out(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seg.cmtw").write_bytes(model_file(get_preset("seg-desk").model))
     if "rgb" in argv:
@@ -426,8 +428,13 @@ def test_failed_command_leaves_no_out(tmp_path, monkeypatch, argv, code):
         for part in ("train", "test"):
             (rgb / part / "normal" / "0000.pgm").write_bytes(
                 save_image(np.zeros((32, 32, 3), np.uint8)))
+    if "rgb-mask" in argv:
+        masks = gen(tmp_path, kind="segmentation", count=2, name="rgb-mask") / "masks"
+        (masks / "0000.pgm").write_bytes(save_image(np.zeros((32, 32, 3), np.uint8)))
     assert run(argv + ["--out", "o"]) == code
     assert not (tmp_path / "o").exists()
+    if "rgb-mask" in argv:
+        assert "masks/0000.pgm" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

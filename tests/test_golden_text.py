@@ -19,10 +19,13 @@ from chestkit.models import build_model, save_weights
 from chestkit.postproc import (
     InfectionReport,
     OracleSegmenter,
+    close_mask,
+    open_mask,
     report_from_text,
     report_to_text,
     run_pipeline,
 )
+from chestkit.rng import DetRng
 from chestkit.synthdata import (
     SynthSpec,
     gen_infection_set,
@@ -170,6 +173,34 @@ def test_postprocessing_chain_digest():
                 digest.update(blob)
     assert digest.hexdigest() == (
         "7028b79e248e46411eef5c14e05f79d3fae7a16c1831fd032ae0df6650512dc9")
+
+
+def speckled(mask, seed):
+    """``mask`` with seeded 1-px holes inside it, 1-px specks outside it, and
+    a disc on the left border that reaches the left lung."""
+    h, w = mask.shape
+    u = DetRng(seed).random(h * w).reshape(h, w)
+    yy, xx = np.mgrid[0:h, 0:w]
+    disc = (yy - h // 2) ** 2 + xx ** 2 < (h // 6) ** 2
+    return (mask & (u >= 0.02)) | (~mask & (u < 0.002)) | disc
+
+
+def test_postprocessing_chain_digest_with_refinement():
+    # the lung masks above come out of closing and opening unchanged; these
+    # oracle masks do not, so the digest covers what refinement, at the
+    # border too, does to the regions kept in either mode at the paper's size
+    digest = hashlib.sha256()
+    for i, sample in enumerate(gen_infection_set(SynthSpec(count=3, size=256, seed=8))):
+        mask = speckled(sample.lung_mask, 100 + i)
+        assert not np.array_equal(open_mask(close_mask(mask)), mask)
+        for mode in ("chest", "lung"):
+            result = run_pipeline(sample.image, OracleSegmenter(mask), mode=mode)
+            for blob in (save_mask(result.region_mask), save_mask(result.infected_mask),
+                         report_to_text(result.report).encode(),
+                         save_image(result.heatmap)):
+                digest.update(blob)
+    assert digest.hexdigest() == (
+        "4c557e5f97bcfec8c17bb309a6769f5789d09fb7fbe4887c3f24bf0e3a2d30a3")
 
 
 def corrupted_corpus_report(tmp_path, text):

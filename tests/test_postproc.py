@@ -556,17 +556,14 @@ def test_adaptive_threshold_matches_brute_force_at_256_with_default_window():
     assert np.array_equal(got, adaptive_brute(extracted, roi, 15, 5.0))
 
 
-def test_adaptive_threshold_matches_brute_force_on_dyadic_floats():
-    # multiples of 1/4 sum exactly in any order, so the fast sums and the
-    # oracle's sequential ones agree bit for bit
-    for seed in range(10):
-        rng = DetRng(seed + 1100)
-        img = np.floor(rng.random(20 * 24).reshape(20, 24) * 1024) / 4 - 64
-        roi = random_mask(seed + 2100, 20, 24, density=0.7)
-        for window, offset in ((3, 0.25), (9, -1.5), (31, 0.0)):
-            got = adaptive_threshold(img, roi, window=window, offset=offset)
-            assert np.array_equal(got, adaptive_brute(img, roi, window, offset)), \
-                (seed, window)
+@pytest.mark.parametrize("img", [
+    np.floor(DetRng(1100).random(20 * 24).reshape(20, 24) * 1024) / 4 - 64,
+    np.arange(20 * 24, dtype=np.int16).reshape(20, 24),
+    random_mask(1101, 20, 24),
+], ids=["dyadic-float64", "int16", "bool"])
+def test_adaptive_threshold_rejects_an_image_that_is_not_uint8(img):
+    with pytest.raises(ValueError, match="uint8"):
+        adaptive_threshold(img, random_mask(2100, 20, 24, density=0.7))
 
 
 def test_adaptive_threshold_respects_roi():
@@ -592,7 +589,7 @@ def test_adaptive_threshold_rejects_an_offset_that_is_not_finite(offset):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 100), (17, 5), (64, 64)])
-@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("dtype", [np.uint8])
 def test_adaptive_threshold_window_wider_than_the_image_runs_as_the_image(shape, dtype):
     # a window of 2 * max(h, w) + 1 covers the image from every pixel, so
     # any wider one gives the same bytes; 10**6 + 1 unclamped would ask
@@ -634,13 +631,11 @@ def test_morphology_property(mask, radius):
 
 
 @settings(max_examples=150, deadline=None)
-@given(drawn_masks(), st.integers(1, 25), st.booleans(),
+@given(drawn_masks(), st.integers(1, 25),
        st.sampled_from((-2.0, 0.0, 1.0, 5.0)), st.integers(0, 2 ** 31))
-def test_adaptive_threshold_property(roi, half_window, dyadic, offset, seed):
+def test_adaptive_threshold_property(roi, half_window, offset, seed):
     h, w = roi.shape
-    values = DetRng(seed).random(h * w).reshape(h, w)
-    # uint8 values, or multiples of 1/4: both sum exactly in any order
-    img = np.floor(values * 1024) / 4 if dyadic else (values * 256).astype(np.uint8)
+    img = (DetRng(seed).random(h * w).reshape(h, w) * 256).astype(np.uint8)
     window = 2 * half_window + 1
     assert np.array_equal(adaptive_threshold(img, roi, window, offset),
                           adaptive_brute(img, roi, window, offset))
@@ -655,12 +650,13 @@ def test_adaptive_threshold_property(roi, half_window, dyadic, offset, seed):
 @example(random_mask(6, 23, 1), 2, 1.0, 8)
 @example(random_mask(7, 1, 1), 1, -2.0, 9)
 def test_adaptive_threshold_packed_equals_float_path(roi, half_window, offset, seed):
-    # uint8 takes the packed int64 table, its float64 copy the two tables
+    # the packed int64 table against the oracle's float64 sums, which are
+    # exact: every sum of a uint8 image is an integer below 2^53
     h, w = roi.shape
     img = (DetRng(seed).random(h * w).reshape(h, w) * 256).astype(np.uint8)
     window = 2 * half_window + 1
     assert np.array_equal(adaptive_threshold(img, roi, window, offset),
-                          adaptive_threshold(img.astype(np.float64), roi, window, offset))
+                          adaptive_brute(img, roi, window, offset))
 
 
 def count_cumsum_calls(monkeypatch):
@@ -682,14 +678,14 @@ def test_adaptive_threshold_uint8_takes_one_packed_table(monkeypatch):
     calls = count_cumsum_calls(monkeypatch)
     assert np.array_equal(adaptive_threshold(img, roi, 7, 2.0), want)
     assert calls == [np.int64, np.int64]
+    # a float64 image, or one past the packing bound, raises before any sum
     calls.clear()
-    assert np.array_equal(adaptive_threshold(img.astype(np.float64), roi, 7, 2.0), want)
-    assert calls == [np.int64, np.int64, np.float64, np.float64]
-    # past the packing bound a uint8 image takes the two tables too
-    calls.clear()
+    with pytest.raises(ValueError):
+        adaptive_threshold(img.astype(np.float64), roi, 7, 2.0)
     monkeypatch.setattr(postproc, "_packing_shift", lambda size: None)
-    assert np.array_equal(adaptive_threshold(img, roi, 7, 2.0), want)
-    assert calls == [np.int64, np.int64, np.float64, np.float64]
+    with pytest.raises(ValueError):
+        adaptive_threshold(img, roi, 7, 2.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 255, 73441, 2 ** 20, 2 ** 27 - 1, 2 ** 27,
@@ -873,6 +869,34 @@ def test_pipeline_equals_hand_chained_stages():
         assert np.array_equal(result.infected_mask, infected)
         assert result.report == report
         assert np.array_equal(result.heatmap, heat)
+
+
+@pytest.mark.parametrize("size, seed", [(64, 31), (256, 32)])
+@pytest.mark.parametrize("mode", ["chest", "lung"])
+def test_pipeline_reads_no_pixel_outside_the_kept_regions(size, seed, mode):
+    # the threshold's roi is the chain's only masking of the image: pixels
+    # outside the regions kept change the heatmap and nothing else
+    for sample in synthdata.gen_infection_set(synthdata.SynthSpec(count=2, size=size,
+                                                                  seed=seed)):
+        seg = OracleSegmenter(sample.lung_mask)
+        want = run_pipeline(sample.image, seg, mode=mode)
+        outside = ~want.region_mask
+        scrambled = sample.image.copy()
+        scrambled[outside] = DetRng(seed).integers(int(outside.sum()), 256)
+        got = run_pipeline(scrambled, seg, mode=mode)
+        assert not np.array_equal(scrambled, sample.image)
+        assert got.region_mask.tobytes() == want.region_mask.tobytes()
+        assert got.infected_mask.tobytes() == want.infected_mask.tobytes()
+        assert report_to_text(got.report) == report_to_text(want.report)
+
+
+def test_oracle_segmenter_keeps_its_own_copy_of_the_mask():
+    _, lungs = blob_image(1600)
+    seg = OracleSegmenter(lungs)
+    batch = Tensor(np.zeros((1, 1) + lungs.shape))
+    want = seg.forward(batch).data.tobytes()
+    lungs[:] = ~lungs
+    assert seg.forward(batch).data.tobytes() == want
 
 
 def test_pipeline_is_deterministic():
