@@ -239,16 +239,13 @@ def select_largest(regions: list[Region], k: int, shape: tuple[int, int]) -> np.
 def apply_mask(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Zero every pixel outside the mask.
 
-    Integer and boolean images are multiplied by the mask, a tenth of the
-    time of a select; other dtypes select, since ``-1.0 * False`` is -0.0
-    and ``nan * False`` is NaN.
+    A select, not a multiply: ``-1.0 * False`` is -0.0 and ``nan * False``
+    is NaN.
     """
     img = np.asarray(image)
     mask = _as_mask(mask)
     if img.shape != mask.shape:
         raise ValueError(f"image {img.shape} and mask {mask.shape} differ")
-    if img.dtype.kind in "biu":
-        return img * mask
     return np.where(mask, img, 0).astype(img.dtype)
 
 
@@ -347,8 +344,8 @@ def infection_percentage(lung: np.ndarray, infected: np.ndarray) -> InfectionRep
     infected = _as_mask(infected, "infected mask")
     if lung.shape != infected.shape:
         raise ValueError(f"masks differ in shape: {lung.shape} vs {infected.shape}")
-    lung_count = np.count_nonzero(lung)
-    infected_count = np.count_nonzero(infected & lung)
+    lung_count = int(np.count_nonzero(lung))
+    infected_count = int(np.count_nonzero(infected & lung))
     if lung_count == 0:
         return InfectionReport(0, 0, 0.0, degenerate=True)
     hundredths = (10000 * infected_count) // lung_count

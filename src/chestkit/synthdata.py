@@ -295,10 +295,9 @@ def write_classification_corpus(root, spec: SynthSpec) -> None:
     train_ds, test_ds = split_dataset(ds, TRAIN_FRACTION, seed=spec.seed)
     counts: dict[str, str] = {}
     for part, part_ds in (("train", train_ds), ("test", test_ds)):
-        for cls, name in enumerate(part_ds.class_names):
+        for name, members in zip(part_ds.class_names, part_ds.class_indices()):
             directory = root / part / name
             directory.mkdir(parents=True, exist_ok=True)
-            members = [i for i, lab in enumerate(part_ds.labels) if lab == cls]
             for j, idx in enumerate(members):
                 (directory / f"{j:04d}.pgm").write_bytes(save_image(part_ds.images[idx]))
             counts[f"{part}_{name}"] = str(len(members))

@@ -10,9 +10,10 @@ augmented copies (seeded the same way) before training starts.
 Fixed constants (the source material names the methods but not the
 numbers): the learning rate falls 10x every 25 epochs; Adam uses beta1
 0.9, beta2 0.999, eps 1e-8; cross-entropy clamps probabilities at 1e-12;
-the Dice loss carries a smoothing term of 1; augmentation is horizontal
-flip (p = 0.5), rotation within +/-10 degrees, and shift within +/-5% of
-the image size, all nearest-neighbor resampled with zero fill.
+the Dice loss carries a smoothing term of 1; augmentation is a horizontal
+flip (p = 0.5), then a rotation within +/-10 degrees, then a shift within
++/-5% of the image size, resampled in one nearest-neighbor gather with
+zero fill.
 """
 
 from __future__ import annotations
@@ -109,11 +110,13 @@ class LabeledDataset:
             return 0
         return max(self.labels) + 1 if self.labels else 0
 
+    def class_indices(self) -> list[list[int]]:
+        """The indices of each class's samples, in sample order."""
+        return [[i for i, lab in enumerate(self.labels) if lab == cls]
+                for cls in range(self.num_classes)]
+
     def class_counts(self) -> list[int]:
-        counts = [0] * self.num_classes
-        for lab in self.labels:
-            counts[lab] += 1
-        return counts
+        return [len(members) for members in self.class_indices()]
 
     def subset(self, indices) -> "LabeledDataset":
         idx = list(indices)
@@ -288,50 +291,32 @@ def to_batch(images: list[np.ndarray]) -> Tensor:
 _batch_tensor = to_batch
 
 
-def flip_horizontal(image: np.ndarray) -> np.ndarray:
-    return image[:, ::-1].copy()
-
-
-def rotate_nearest(image: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate about the center, nearest-neighbor, zero fill outside."""
-    h, w = image.shape[:2]
-    theta = math.radians(degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dy, dx = rr - cy, cc - cx
-    # inverse map: source = R(-theta) . (dest - center) + center
-    src_r = np.rint(cos_t * dy + sin_t * dx + cy).astype(np.int64)
-    src_c = np.rint(-sin_t * dy + cos_t * dx + cx).astype(np.int64)
-    inside = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-    out = np.zeros_like(image)
-    out[inside] = image[src_r[inside], src_c[inside]]
-    return out
-
-
-def shift_image(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate by whole pixels with zero fill."""
-    out = np.zeros_like(image)
-    h, w = image.shape[:2]
-    ys = slice(max(0, dy), min(h, h + dy))
-    xs = slice(max(0, dx), min(w, w + dx))
-    ys_src = slice(max(0, -dy), min(h, h - dy))
-    xs_src = slice(max(0, -dx), min(w, w - dx))
-    out[ys, xs] = image[ys_src, xs_src]
-    return out
-
-
 def augment(image: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Seeded flip/rotate/shift."""
+    """Seeded flip, rotation about the centre and whole-pixel shift, in that
+    order, as one nearest-neighbor gather: each output pixel reads back
+    through the shift, the rotation (rounded) and the flip, and reads 0
+    where the shifted point or its source falls outside the image."""
     rng = DetRng(seed)
     do_flip = rng.random(1)[0] < 0.5
     angle = rng.uniform(-ROTATION_LIMIT_DEG, ROTATION_LIMIT_DEG, 1)[0]
     h, w = image.shape[:2]
     dy = int(round(rng.uniform(-SHIFT_LIMIT_FRAC, SHIFT_LIMIT_FRAC, 1)[0] * h))
     dx = int(round(rng.uniform(-SHIFT_LIMIT_FRAC, SHIFT_LIMIT_FRAC, 1)[0] * w))
+    theta = math.radians(angle)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.arange(h) - dy, np.arange(w) - dx
+    ry, rx = (rows - cy)[:, None], cols - cx
+    # inverse rotation: source = R(-theta) . (point - center) + center
+    src_r = np.rint(cos_t * ry + sin_t * rx + cy).astype(np.int64)
+    src_c = np.rint(-sin_t * ry + cos_t * rx + cx).astype(np.int64)
+    inside = (((rows >= 0) & (rows < h))[:, None] & (cols >= 0) & (cols < w)
+              & (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w))
     if do_flip:
-        image = flip_horizontal(image)
-    return shift_image(rotate_nearest(image, angle), dy, dx)
+        src_c = w - 1 - src_c
+    out = np.zeros_like(image)
+    out[inside] = image[src_r[inside], src_c[inside]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +327,15 @@ def balance_classes(ds: LabeledDataset, seed: int = 0) -> LabeledDataset:
     """Top up every class to the majority count with augmented copies."""
     if ds.labels is None:
         raise ValueError("balance_classes needs a labeled classification set")
-    counts = ds.class_counts()
-    if any(c == 0 for c in counts):
-        empty = counts.index(0)
-        raise ValueError(f"class {empty} has no samples")
+    by_class = ds.class_indices()
+    counts = [len(members) for members in by_class]
+    if 0 in counts:
+        raise ValueError(f"class {counts.index(0)} has no samples")
     target = max(counts)
     images = list(ds.images)
     labels = list(ds.labels)
-    by_class = [[i for i, lab in enumerate(ds.labels) if lab == cls]
-                for cls in range(ds.num_classes)]
     for cls, members in enumerate(by_class):
-        for j in range(target - counts[cls]):
+        for j in range(target - len(members)):
             src = members[j % len(members)]
             images.append(augment(ds.images[src], seed=derive_seed(seed, cls, j)))
             labels.append(cls)
@@ -364,11 +347,7 @@ def split_dataset(ds: LabeledDataset, train_fraction: float,
     """Seeded stratified partition into (train, rest)."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    if ds.labels is not None:
-        strata = [[i for i, lab in enumerate(ds.labels) if lab == cls]
-                  for cls in range(ds.num_classes)]
-    else:
-        strata = [list(range(len(ds)))]
+    strata = ds.class_indices() if ds.labels is not None else [list(range(len(ds)))]
     train_idx: list[int] = []
     rest_idx: list[int] = []
     for s, members in enumerate(strata):

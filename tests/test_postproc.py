@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -769,6 +772,16 @@ def test_infection_percentage_monotone_in_infected_count():
         report = infection_percentage(lung, mask_with_count(infected))
         assert report.percent >= last
         last = report.percent
+
+
+@pytest.mark.parametrize("lung", [np.ones((4, 4), dtype=bool), np.zeros((4, 4), dtype=bool)],
+                         ids=["diagonal-infected", "empty-lung"])
+def test_infection_report_holds_python_numbers(lung):
+    report = infection_percentage(lung, np.eye(4, dtype=bool))
+    assert type(report.lung_pixels) is int and type(report.infected_pixels) is int
+    assert type(report.percent) is float and type(report.degenerate) is bool
+    text = json.dumps(dataclasses.asdict(report))
+    assert InfectionReport(**json.loads(text)) == report
 
 
 def test_infection_percentage_rejects_dim_mismatch():

@@ -12,11 +12,14 @@ import pytest
 from chestkit import training
 from chestkit.models import ModelConfig, ParamStore, build_model, save_weights
 from chestkit.rng import DetRng
+from chestkit.synthdata import SynthSpec, gen_classification_set
 from chestkit.tensor import ShapeError, Tape, Tensor, apply_op
 from chestkit.training import (
     CROSS_ENTROPY_CLAMP,
     LR_DECAY_EVERY,
     LR_DECAY_FACTOR,
+    ROTATION_LIMIT_DEG,
+    SHIFT_LIMIT_FRAC,
     AdamState,
     LabeledDataset,
     TrainConfig,
@@ -27,13 +30,11 @@ from chestkit.training import (
     balance_classes,
     cross_entropy_loss,
     dice_loss,
-    flip_horizontal,
     get_preset,
     history_from_text,
     history_to_text,
     lr_schedule,
     minmax_normalize,
-    rotate_nearest,
     split_dataset,
     to_batch,
     train,
@@ -385,18 +386,67 @@ def test_augment_deterministic_per_seed():
     assert not np.array_equal(a1, augment(img, seed=43))
 
 
-def test_flip_is_involution():
-    img = gray(6)
-    assert np.array_equal(flip_horizontal(flip_horizontal(img)), img)
+def augment_brute(image, seed, invert_flip=False):
+    """``augment`` pixel by pixel, and its flip draw: flip, then rotate about
+    the centre, then shift, each read back from the output to the nearest
+    source pixel. ``invert_flip`` turns the flip draw over."""
+    rng = DetRng(seed)
+    flip = (rng.random(1)[0] < 0.5) != invert_flip
+    angle = rng.uniform(-ROTATION_LIMIT_DEG, ROTATION_LIMIT_DEG, 1)[0]
+    h, w = image.shape[:2]
+    dy = int(round(rng.uniform(-SHIFT_LIMIT_FRAC, SHIFT_LIMIT_FRAC, 1)[0] * h))
+    dx = int(round(rng.uniform(-SHIFT_LIMIT_FRAC, SHIFT_LIMIT_FRAC, 1)[0] * w))
+    cos_t = math.cos(math.radians(angle))
+    sin_t = math.sin(math.radians(angle))
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    out = np.zeros_like(image)
+    for y in range(h):
+        for x in range(w):
+            ry, rx = y - dy, x - dx        # the rotated image's pixel
+            if not (0 <= ry < h and 0 <= rx < w):
+                continue
+            # Python's round is round-half-even, as np.rint is
+            fy = round(cos_t * (ry - cy) + sin_t * (rx - cx) + cy)
+            fx = round(-sin_t * (ry - cy) + cos_t * (rx - cx) + cx)
+            if 0 <= fy < h and 0 <= fx < w:
+                out[y, x] = image[fy, w - 1 - fx if flip else fx]
+    return out, flip
+
+
+@pytest.mark.parametrize("shape,dtype", [
+    ((1, 1), np.uint8), ((2, 9), np.uint8), ((7, 7), np.uint8), ((15, 22), np.uint8),
+    ((31, 40), np.float64), ((20, 13), bool), ((12, 17, 3), np.uint8),
+])
+def test_augment_equals_a_per_pixel_oracle(shape, dtype):
+    img = DetRng(sum(shape)).random(math.prod(shape)).reshape(shape) * 255
+    img = (img > 127) if dtype is bool else img.astype(dtype)
+    flips = set()
+    for seed in range(12):
+        out = augment(img, seed=seed)
+        want, flip = augment_brute(img, seed)
+        flips.add(flip)
+        assert out.dtype == img.dtype and out.shape == img.shape
+        assert out.tobytes() == want.tobytes(), seed
+    assert flips == {False, True}
 
 
 def test_rotation_preserves_convex_blob_area():
+    # an ellipse about augment's centre of rotation, clear of the border by
+    # more than the largest shift
     yy, xx = np.mgrid[0:64, 0:64]
-    ellipse = (((yy - 32) / 20.0) ** 2 + ((xx - 32) / 12.0) ** 2 <= 1.0)
+    ellipse = (((yy - 31.5) / 20.0) ** 2 + ((xx - 31.5) / 12.0) ** 2 <= 1.0)
     area = ellipse.sum()
-    for angle in (-10.0, -5.0, 5.0, 10.0):
-        rotated = rotate_nearest(ellipse.astype(np.uint8), angle)
-        assert abs(int(rotated.sum()) - area) <= 0.05 * area
+    for seed in range(20):
+        moved = augment(ellipse.astype(np.uint8), seed=seed)
+        assert abs(int(moved.sum()) - area) <= 0.05 * area
+
+
+def test_flip_is_involution():
+    # mirroring the input undoes a flip draw and makes up for a missing one
+    img = gray(6, size=16)
+    for seed in range(12):
+        want, _ = augment_brute(img, seed, invert_flip=True)
+        assert augment(img[:, ::-1], seed=seed).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +459,19 @@ def test_balance_classes_pneumonia_counts():
     ds = LabeledDataset(images=images, labels=labels)
     out = balance_classes(ds, seed=1)
     assert out.class_counts() == [3875, 3875]
+
+
+def test_balance_classes_digest():
+    # the originals, then each minority class's augmented copies: any change
+    # to the order, the seeds or the resampling of augment moves this digest
+    ds = gen_classification_set(SynthSpec(count=40, size=32, seed=3, class_ratio=(1, 3)))
+    out = balance_classes(ds, seed=5)
+    assert out.class_counts() == [30, 30]
+    digest = hashlib.sha256(bytes(out.labels))
+    for img in out.images:
+        digest.update(img.tobytes())
+    assert digest.hexdigest() == (
+        "dba6b2d1b3bdd14dfacdee0a31259927221165e56558ac9f41349d0a44579647")
 
 
 def test_balance_classes_already_balanced_unchanged():
