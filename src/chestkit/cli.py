@@ -150,6 +150,10 @@ def _fit(args, preset, model) -> None:
     a diverged run writes nothing."""
     ds = _load_dataset(args.dataset, preset.train.loss == "dice")
     if preset.train.loss == "cross_entropy":
+        for name, members in zip(ds.class_names, ds.class_indices()):
+            if not members:
+                raise CliError(EXIT_DATA, f"class directory {Path(args.dataset) / 'train' / name} "
+                                          "holds no .pgm samples")
         ds = balance_classes(ds, seed=preset.train.seed)
     ds = _resize_dataset(ds, preset.model.input_shape)
     try:

@@ -107,14 +107,6 @@ def save_mask(mask: np.ndarray) -> bytes:
     return save_image(np.multiply(np.asarray(mask, dtype=bool), 255, dtype=np.uint8))
 
 
-def load_mask(data: bytes) -> np.ndarray:
-    """Read a mask PGM back to bool (any nonzero pixel counts as true)."""
-    img = load_image(data)
-    if img.ndim != 2:
-        raise PnmFormatError("masks must be single-channel PGM")
-    return img > 0
-
-
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:
     """Luminance 0.299 R + 0.587 G + 0.114 B, rounded half-up to uint8."""
     arr = _ensure_uint8(rgb, "rgb image")

@@ -156,16 +156,6 @@ def metrics_to_text(report: MetricsReport) -> str:
     return kvtext.to_text(fields)
 
 
-def metrics_from_text(text: str) -> MetricsReport:
-    """Raises :class:`kvtext.TextFormatError` on malformed text or an unknown key."""
-    fields = kvtext.from_text(text)
-    schema = {**dict.fromkeys(SCORES, float), "degenerate": kvtext.flag}
-    unknown = [key for key in fields if key not in schema]
-    if unknown:
-        raise kvtext.TextFormatError(f"unknown metric {unknown[0]!r}")
-    return MetricsReport(**kvtext.parse(fields, {key: schema[key] for key in fields}))
-
-
 # ---------------------------------------------------------------------------
 # whole-dataset evaluation
 

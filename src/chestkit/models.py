@@ -185,8 +185,9 @@ def recurrent_conv(x: Tensor, forward_kernel: Tensor, forward_bias: Tensor,
     """Same-padded convolution refined ``t`` times through a recurrent kernel.
 
     ``z0 = conv(x, Wf)``; ``zk = relu(conv(x, Wf) + conv(z(k-1), Wr))`` for
-    k = 1..t.  ``t = 0`` reduces to ``relu(conv(x, Wf))``.  The recurrent
-    kernel must map the output channels onto themselves.
+    k = 1..t.  ``t = 0`` reduces to ``relu(conv(x, Wf))``, a conv with its
+    relu fused.  The recurrent kernel must map the output channels onto
+    themselves.
     """
     if t < 0:
         raise ValueError("recurrence steps must be >= 0")
@@ -197,9 +198,7 @@ def recurrent_conv(x: Tensor, forward_kernel: Tensor, forward_bias: Tensor,
         raise ShapeError(
             f"recurrent kernel {recurrent_kernel.shape} must map the forward "
             f"kernel's {forward_kernel.shape[0]} output channels onto themselves")
-    f = conv2d(x, forward_kernel, forward_bias, padding=pad_f)
-    if t == 0:
-        return relu(f)
+    f = conv2d(x, forward_kernel, forward_bias, padding=pad_f, relu=(t == 0))
     z = f
     for _ in range(t):
         z = relu(add(f, conv2d(z, recurrent_kernel, recurrent_bias, padding=pad_r)))

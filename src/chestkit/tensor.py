@@ -55,8 +55,9 @@ Conventions fixed here and relied on elsewhere:
 
 * ``relu`` has gradient 0 at exactly 0 (subgradient choice).
 * ``max_pool2d`` breaks ties toward the first maximum in row-major order.
-* ``upsample2x`` is nearest-neighbor replication, so a 2x2 max-pool of an
-  upsampled map recovers the original exactly.
+* ``conv2d(..., upsample=True)`` upsamples nearest-neighbour: each input
+  pixel stands for a 2x2 block, so a 2x2 max-pool of its output under a
+  1x1 identity kernel recovers the input exactly.
 * A scalar is a tensor of shape ``(1,)``; shapes are never empty.
 """
 
@@ -236,13 +237,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    ad, bd = a.data, b.data
-    return _record(Tensor(ad * bd), (a, b), lambda g: (g * bd, g * ad))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -450,8 +444,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     """2-D cross-correlation at stride 1 with zero padding; ``kernels`` is
     [C_out, C_in, kH, kW], ``bias`` [C_out], output H + 2*padding - kH + 1.
     With ``upsample`` the input [B, C, h, w] stands for its nearest-neighbour
-    2x upsample [B, C, 2h, 2w]: ``conv2d(upsample2x(x), ...)``, run without
-    making the upsample.
+    2x upsample [B, C, 2h, 2w], each pixel a 2x2 block, which is never made.
 
     Both run in the sub-pixel form of Shi et al. (2016): output pixel
     (scale*i + r, scale*j + s) is phase (r, s), a conv of the input itself
@@ -460,9 +453,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0, *,
     phase, whose kernels are ``kernels`` and whose windows are the output.
     At scale 2 a 3x3 kernel with padding 1 has 2x2 phase kernels, rows
     ``[k0, k1 + k2]`` for r = 0 and ``[k0 + k1, k2]`` for r = 1, columns
-    alike: 4/9 of the GEMM work.  The results differ from the composition
-    only in the rounding of sums grouped differently: they are equal on
-    integer data.
+    alike: 4/9 of the GEMM work.  The results differ from a conv of the made
+    upsample only in the rounding of sums grouped differently: they are
+    equal on integer data.
 
     The input is padded once into a channel-major buffer ``xc``, [C_in,
     B*Hp*Wp + (kqH-1)*Wp + kqW-1]: sample s, padded pixel (i, j) is column
@@ -791,18 +784,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
         return (np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy(),)
 
     return _record(Tensor(out), (x,), backward)
-
-
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling; each pixel becomes a 2x2 block.
-
-    Backward sums each 2x2 block of the gradient.  No network calls it:
-    ``conv2d(..., upsample=True)`` convolves the upsample without making it.
-    """
-    xd = _spatial(x, "upsample2x")
-    b, c, h, w = xd.shape
-    return _record(Tensor(xd.repeat(2, axis=2).repeat(2, axis=3)), (x,),
-                   lambda g: (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:

@@ -569,12 +569,7 @@ def _optional(value: float | None, spec: str) -> str:
     return "-" if value is None else format(value, spec)
 
 
-def _optional_float(text: str) -> float | None:
-    return None if text == "-" else float(text)
-
-
-_HISTORY_COLUMNS = {"epoch": int, "lr": float, "loss": float, "metric": float,
-                    "grad_norm": _optional_float, "clamped": _optional_float}
+_HISTORY_COLUMNS = ("epoch", "lr", "loss", "metric", "grad_norm", "clamped")
 
 
 def history_to_text(history: list[EpochRecord]) -> str:
@@ -583,17 +578,6 @@ def history_to_text(history: list[EpochRecord]) -> str:
         "epoch": str(rec.epoch), "lr": f"{rec.lr:.10g}", "loss": f"{rec.loss:.6f}",
         "metric": f"{rec.metric:.6f}", "grad_norm": _optional(rec.grad_norm, ".6g"),
         "clamped": _optional(rec.clamped, ".6f")}, " ") for rec in history)
-
-
-def history_from_text(text: str) -> list[EpochRecord]:
-    """Reads :func:`history_to_text`, and files without the last two columns;
-    raises :class:`kvtext.TextFormatError` on a malformed line."""
-    out = []
-    for line in text.splitlines():
-        if line.strip() and not line.lstrip().startswith("#"):
-            fields = {"grad_norm": "-", "clamped": "-", **kvtext.from_text(line)}
-            out.append(EpochRecord(**kvtext.parse(fields, _HISTORY_COLUMNS)))
-    return out
 
 
 def preset_to_text(preset: Preset) -> str:

@@ -14,13 +14,14 @@ import pytest
 
 from chestkit import kvtext
 from chestkit.cli import build_parser, run
-from chestkit.imaging import load_image, load_mask, save_image
+from chestkit.imaging import load_image, save_image
 from chestkit.models import ModelConfig, build_model, load_weights, save_weights
 from chestkit.postproc import report_from_text
-from chestkit.metrics import evaluate_classifier, metrics_from_text, metrics_to_text
+from chestkit.metrics import evaluate_classifier, metrics_to_text
 from chestkit.synthdata import load_classification_corpus
 from chestkit.training import get_preset
 
+from oracles import metrics_from_text
 from test_models import one_tensor_file, with_config_text
 
 
@@ -104,7 +105,7 @@ def test_gen_data_segmentation_layout(tmp_path):
     images = sorted((root / "images").glob("*.pgm"))
     masks = sorted((root / "masks").glob("*.pgm"))
     assert len(images) == 4 and len(masks) == 4
-    mask = load_mask(masks[0].read_bytes())
+    mask = load_image(masks[0].read_bytes()) > 0
     assert mask.dtype == bool
 
 
@@ -260,6 +261,21 @@ def test_transfer_unreadable_donor_is_model_error(tmp_path):
                 "--donor-weights", str(bad), "--epochs", "0",
                 "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["train", "transfer"])
+def test_empty_class_directory_is_data_error_naming_it(tmp_path, capsys, command):
+    data = gen(tmp_path, count=8)
+    (data / "train" / "zzz").mkdir()
+    donor = tmp_path / "donor.cmtw"
+    donor.write_bytes(DESK_CLS_FILE)
+    donor_flags = ["--donor-weights", str(donor)] if command == "transfer" else []
+    out = tmp_path / "o"
+    code = run([command, "--dataset", str(data), "--preset", "xray-det-desk",
+                "--epochs", "1", *donor_flags, "--out", str(out)])
+    assert code == 3
+    assert str(data / "train" / "zzz") in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
 """Fuzzing the two binary decoders: CMTW weight files and binary PGM/PPM.
 
 Whatever the bytes, ``load_weights`` may only return a store of finite
-tensors or raise a ``WeightFileError``, and ``load_image``/``load_mask``
-may only return a uint8/bool array or raise a ``PnmError``.  Any other
-exception escaping is a decoder bug: the CLI maps those two families to
-its model and data exit codes, and everything else to the wrong one.
+tensors or raise a ``WeightFileError``; ``load_image`` may only return a
+uint8 array and the corpus reader ``synthdata._load_gray`` a 2-D one, or
+raise a ``PnmError``.  Any other exception escaping is a decoder bug: the
+CLI maps those two families to its model and data exit codes, and
+everything else to the wrong one.
 """
 
 import io
 import struct
+import types
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chestkit.imaging import PnmError, load_image, load_mask, save_image
+from chestkit.imaging import PnmError, load_image, save_image
 from chestkit.models import (
     ModelConfig,
     ParamStore,
@@ -23,6 +25,7 @@ from chestkit.models import (
     model_config_fields,
     save_weights,
 )
+from chestkit.synthdata import _load_gray
 from chestkit.tensor import Tensor
 
 from test_models import one_tensor_file, with_config_text
@@ -93,7 +96,8 @@ def _check_pnm(blob: bytes) -> None:
     else:
         assert img.dtype == np.uint8 and img.ndim in (2, 3)
     try:
-        mask = load_mask(blob)
+        # the corpus loaders read a mask file as _load_gray(path) > 0
+        mask = _load_gray(types.SimpleNamespace(read_bytes=lambda: blob)) > 0
     except PnmError:
         return
     assert mask.dtype == bool and mask.ndim == 2

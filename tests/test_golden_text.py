@@ -13,7 +13,7 @@ import pytest
 
 from chestkit.cli import run
 from chestkit.kvtext import TextFormatError, from_text, to_text
-from chestkit.metrics import MetricsReport, metrics_from_text, metrics_to_text
+from chestkit.metrics import MetricsReport, metrics_to_text
 from chestkit.imaging import save_image, save_mask
 from chestkit.models import build_model, save_weights
 from chestkit.postproc import (
@@ -35,10 +35,11 @@ from chestkit.synthdata import (
 from chestkit.training import (
     EpochRecord,
     get_preset,
-    history_from_text,
     history_to_text,
     preset_to_text,
 )
+
+from oracles import history_from_text, metrics_from_text
 
 MANIFESTS = {
     "classification": (

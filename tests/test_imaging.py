@@ -8,7 +8,6 @@ from chestkit.imaging import (
     PnmMaxvalError,
     PnmTruncatedError,
     load_image,
-    load_mask,
     resize,
     save_image,
     save_mask,
@@ -103,7 +102,7 @@ def test_save_load_bijection_on_bytes():
 
 def test_mask_roundtrip():
     mask = random_gray(4, 12, 10) > 128
-    assert np.array_equal(load_mask(save_mask(mask)), mask)
+    assert np.array_equal(load_image(save_mask(mask)) > 0, mask)
 
 
 def test_save_rejects_non_uint8():

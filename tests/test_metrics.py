@@ -9,7 +9,6 @@ from chestkit.metrics import (
     evaluate_classifier,
     evaluate_segmenter,
     iou,
-    metrics_from_text,
     metrics_to_text,
     precision_recall_f1,
     roc_auc,
@@ -18,6 +17,8 @@ from chestkit.postproc import OracleSegmenter
 from chestkit.rng import DetRng
 from chestkit.tensor import Tensor
 from chestkit.training import LabeledDataset
+
+from oracles import metrics_from_text
 
 
 def random_mask(seed, h=16, w=16, density=0.5):

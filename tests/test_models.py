@@ -40,11 +40,11 @@ from chestkit.tensor import (
     relu,
     softmax,
     sum_all,
-    upsample2x,
 )
 from chestkit.training import PRESETS, cross_entropy_loss, get_preset, transfer_init
 
 from conftest import rel_error
+from oracles import upsample2x
 
 
 def rand_image(shape, seed):

