@@ -145,6 +145,11 @@ def _load_trained(path: str):
     return _load_model(path, build)
 
 
+def _check_class_count(ds: LabeledDataset, where: str, num_classes: int, scorer: str) -> None:
+    if ds.num_classes != num_classes:
+        raise CliError(EXIT_DATA, f"{where} holds {ds.num_classes} class(es); {scorer} {num_classes}")
+
+
 def _fit(args, preset, model) -> None:
     """Train ``model`` on ``--dataset`` and write the outputs to ``--out``;
     a diverged run writes nothing."""
@@ -154,6 +159,8 @@ def _fit(args, preset, model) -> None:
             if not members:
                 raise CliError(EXIT_DATA, f"class directory {Path(args.dataset) / 'train' / name} "
                                           "holds no .pgm samples")
+        _check_class_count(ds, f"train/ of {args.dataset}", preset.model.num_classes,
+                           f"preset {preset.name} scores")
         ds = balance_classes(ds, seed=preset.train.seed)
     ds = _resize_dataset(ds, preset.model.input_shape)
     try:
@@ -287,9 +294,9 @@ def cmd_eval(args) -> int:
     segmenter = model.config.architecture == "nabla3"
     ds = _resize_dataset(_load_dataset(args.dataset, segmenter, args.part),
                          model.config.input_shape)
-    if not segmenter and ds.num_classes != model.config.num_classes:
-        raise CliError(EXIT_DATA, f"{args.part}/ of {args.dataset} holds {ds.num_classes} "
-                                  f"class(es); the weights score {model.config.num_classes}")
+    if not segmenter:
+        _check_class_count(ds, f"{args.part}/ of {args.dataset}", model.config.num_classes,
+                           "the weights score")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if segmenter:

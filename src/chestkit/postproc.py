@@ -249,16 +249,11 @@ def apply_mask(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, img, 0).astype(img.dtype)
 
 
-def _packing_shift(pixels: int) -> int | None:
-    """The shift ``s`` that packs each roi pixel of a uint8 image holding
-    ``pixels`` pixels as ``(value << s) + 1`` in an int64 integral image, or
-    None when the packed sums could overflow.
-
-    Every count is below ``2 ** s``, so it keeps the low ``s`` bits; every
-    sum is below ``255 * 2 ** s``, so the largest packed sum is below
-    ``2 ** (8 + 2 * s)``."""
-    s = pixels.bit_length()
-    return s if 8 + 2 * s <= 63 else None
+def _packing(count: int) -> tuple[int, type] | None:
+    """``(s, unsigned type)`` in which box sums of ``count`` uint8 pixels, each
+    ``(value << s) + 1``, stay exact below ``2 ** (8 + 2 * s)``; None past 64."""
+    s = count.bit_length()
+    return None if 8 + 2 * s > 64 else (s, np.uint32 if 8 + 2 * s <= 32 else np.uint64)
 
 
 def adaptive_threshold(image: np.ndarray, roi: np.ndarray,
@@ -269,17 +264,18 @@ def adaptive_threshold(image: np.ndarray, roi: np.ndarray,
     A pixel is marked iff it lies in the roi and its value strictly
     exceeds the mean of the roi pixels inside its window x window
     neighborhood (clipped at the image border) plus the offset, which must
-    be finite.  A window wider than twice the image's longer side covers
-    the whole image from every pixel, so it runs as that width.  No pixel
+    be finite.  A window wider than twice the roi's bounding box covers
+    the whole box from every pixel, so it runs as that width.  No pixel
     outside the roi is read.  Any dtype but uint8, which is every image
     chestkit loads, resizes or synthesises, raises ``ValueError``.
 
-    The window sums and counts are box sums of one int64 integral image
-    (Crow 1984) in which each roi pixel holds ``(value << s) + 1``, so a box
-    sum unpacks to the sum of values (``>> s``) and the count (the low
-    ``s`` bits). No count exceeds ``h * w`` and no sum ``255 * h * w``, so
-    ``s`` is the bit length of ``h * w``: every image below 2^27 pixels
-    packs, at any window, and a larger one raises ``ValueError``.
+    The window sums and counts are box sums of one integral image (Crow
+    1984) of the roi's zero-padded bounding box, each roi pixel packed as
+    ``(value << s) + 1``: the sum is ``>> s``, the count the low ``s`` bits.
+    No count passes ``window ** 2`` or the box's area, whatever the image's
+    size, so ``s`` is the smaller's bit length. The table's running sums
+    wrap in uint32 up to window 63, uint64 past it, and its box sums come
+    out exact; a window over 16383 on a 2^28-pixel box raises ``ValueError``.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
@@ -291,30 +287,34 @@ def adaptive_threshold(image: np.ndarray, roi: np.ndarray,
     roi = _as_mask(roi, "roi")
     if img.shape != roi.shape:
         raise ValueError(f"image {img.shape} and roi {roi.shape} differ")
+    out = np.zeros(roi.shape, dtype=bool)
+    rows, cols = np.flatnonzero(roi.any(axis=1)), np.flatnonzero(roi.any(axis=0))
+    if rows.size == 0:
+        return out
+    crop = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    img, roi, out_box = img[crop], roi[crop], out[crop]
     h, w = img.shape
-    shift = _packing_shift(h * w)
-    if shift is None:
-        raise ValueError(f"a {h}x{w} image is too large to threshold")
     r = min(window // 2, max(h, w))
     window = 2 * r + 1
-    # zero-padded by r, and by one more leading row and column, the table
-    # makes every box sum four shifted slices, equal to that of a table
-    # clipped at the border. The roi pixels are packed into it, and summed,
-    # in place: the sums take 0.5 ms at 256 px, not 1.2 (numpy 2.4)
-    ii = np.zeros((h + window, w + window), dtype=np.int64)
+    packing = _packing(min(window * window, h * w))
+    if packing is None:
+        raise ValueError(f"a {window}-px window over a {h}x{w} roi is too large to threshold")
+    shift, dtype = packing
+    # a leading zero row and column make each box sum four slices; packed
+    # and summed in place in the table's own type: 0.5 ms at 256 px, not 0.8
+    ii = np.zeros((h + window, w + window), dtype=dtype)
     packed = ii[r + 1:r + 1 + h, r + 1:r + 1 + w]
     np.copyto(packed, img, where=roi)
     packed <<= shift
     packed += roi
-    np.cumsum(ii, axis=0, out=ii)
-    np.cumsum(ii, axis=1, out=ii)
+    np.cumsum(ii, axis=0, dtype=dtype, out=ii)
+    np.cumsum(ii, axis=1, dtype=dtype, out=ii)
     box = ii[window:, window:] - ii[:h, window:]
     box -= ii[window:, :w]
     box += ii[:h, :w]
     box = box[roi]
     # a roi pixel's own window holds it, so its count is at least 1
-    out = np.zeros((h, w), dtype=bool)
-    out[roi] = img[roi] > ((box >> shift) / (box & ((1 << shift) - 1))) + offset
+    out_box[roi] = img[roi] > ((box >> shift) / (box & ((1 << shift) - 1))) + offset
     return out
 
 

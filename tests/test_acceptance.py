@@ -20,7 +20,6 @@ from chestkit.models import (
 from chestkit.postproc import (
     OracleSegmenter,
     adaptive_threshold,
-    apply_mask,
     dilate,
     erode,
     close_mask,

@@ -278,6 +278,27 @@ def test_empty_class_directory_is_data_error_naming_it(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, count", [
+    (lambda part: shutil.rmtree(part / "normal"), 1),
+    (lambda part: shutil.copytree(part / "normal", part / "zzz"), 3),
+], ids=["missing-class", "extra-class"])
+@pytest.mark.parametrize("command", ["train", "transfer"])
+def test_class_count_mismatch_is_data_error_naming_the_counts(tmp_path, capsys, command,
+                                                               change, count):
+    data = gen(tmp_path, count=8)
+    change(data / "train")
+    donor = tmp_path / "donor.cmtw"
+    donor.write_bytes(DESK_CLS_FILE)
+    donor_flags = ["--donor-weights", str(donor)] if command == "transfer" else []
+    out = tmp_path / "o"
+    code = run([command, "--dataset", str(data), "--preset", "xray-det-desk",
+                "--epochs", "1", *donor_flags, "--out", str(out)])
+    assert code == 3
+    assert (f"train/ of {data} holds {count} class(es); preset xray-det-desk scores 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 

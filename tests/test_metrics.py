@@ -13,7 +13,6 @@ from chestkit.metrics import (
     precision_recall_f1,
     roc_auc,
 )
-from chestkit.postproc import OracleSegmenter
 from chestkit.rng import DetRng
 from chestkit.tensor import Tensor
 from chestkit.training import LabeledDataset

@@ -10,9 +10,7 @@ import pytest
 from chestkit import kvtext
 from chestkit.models import (
     IRRU,
-    Irrcnn,
     ModelConfig,
-    Nabla3,
     ParamStore,
     DuplicateNameError,
     WeightFormatError,

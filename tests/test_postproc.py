@@ -680,37 +680,92 @@ def test_adaptive_threshold_uint8_takes_one_packed_table(monkeypatch):
     want = adaptive_brute(img, roi, 7, 2.0)
     calls = count_cumsum_calls(monkeypatch)
     assert np.array_equal(adaptive_threshold(img, roi, 7, 2.0), want)
-    assert calls == [np.int64, np.int64]
+    assert calls == [np.uint32, np.uint32]
+    # window 63 is the widest whose box sums fit uint32; past it, on a box
+    # of more than 63 x 63 pixels, the table is uint64
+    big = DetRng(42).integers(80 * 70, 256).reshape(80, 70).astype(np.uint8)
+    for window, dtype in ((63, np.uint32), (65, np.uint64)):
+        calls.clear()
+        adaptive_threshold(big, np.ones((80, 70), dtype=bool), window, 2.0)
+        assert calls == [dtype, dtype]
     # a float64 image, or one past the packing bound, raises before any sum
     calls.clear()
     with pytest.raises(ValueError):
         adaptive_threshold(img.astype(np.float64), roi, 7, 2.0)
-    monkeypatch.setattr(postproc, "_packing_shift", lambda size: None)
+    monkeypatch.setattr(postproc, "_packing", lambda count: None)
     with pytest.raises(ValueError):
         adaptive_threshold(img, roi, 7, 2.0)
     assert calls == []
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 255, 73441, 2 ** 20, 2 ** 27 - 1, 2 ** 27,
-                                  2 ** 28 - 1, 11585 ** 2, 11586 ** 2, 2 ** 40])
-def test_packing_shift_keeps_every_packed_sum_exact(size):
-    shift = postproc._packing_shift(size)
-    if shift is None:
-        # refused only when the largest packed sum could pass int64
-        s = size.bit_length()
-        assert (255 * (2 ** s - 1) << s) + 2 ** s - 1 > 2 ** 63 - 1
+@pytest.mark.parametrize("count", [1, 2, 3, 255, 73441, 2 ** 20, 2 ** 27 - 1, 2 ** 27,
+                                   2 ** 28 - 1, 11585 ** 2, 11586 ** 2, 2 ** 40])
+def test_packing_shift_keeps_every_packed_sum_exact(count):
+    packing = postproc._packing(count)
+    if packing is None:
+        # refused only when the largest packed box sum could pass 64 bits
+        s = count.bit_length()
+        assert (255 * (2 ** s - 1) << s) + 2 ** s - 1 > 2 ** 64 - 1
         return
-    # every count (at most ``size``) fits in the low bits, and the largest
-    # packed sum, every pixel 255 and in the roi, fits in int64
-    assert size < 2 ** shift
-    assert (255 * size << shift) + size <= 2 ** 63 - 1
+    # every count (at most ``count``) fits in the low bits, and the largest
+    # packed box sum, every pixel 255 and in the roi, fits the table's type
+    shift, dtype = packing
+    assert count < 2 ** shift
+    assert (255 * count << shift) + count <= np.iinfo(dtype).max
 
 
-def test_packing_shift_bound_is_about_11k_a_side():
-    assert postproc._packing_shift(2 ** 27 - 1) == 27
-    assert postproc._packing_shift(2 ** 27) is None
-    assert postproc._packing_shift(11585 ** 2) is not None
-    assert postproc._packing_shift(11586 ** 2) is None
+def test_packing_shift_bound_is_about_16k_a_side():
+    assert postproc._packing(15 ** 2) == (8, np.uint32)
+    assert postproc._packing(2 ** 12 - 1) == (12, np.uint32)
+    assert postproc._packing(2 ** 12) == (13, np.uint64)
+    assert postproc._packing(2 ** 28 - 1) == (28, np.uint64)
+    assert postproc._packing(2 ** 28) is None
+    assert postproc._packing(16383 ** 2) is not None
+    assert postproc._packing(16384 ** 2) is None
+
+
+def test_adaptive_threshold_uint64_table_matches_brute_force(monkeypatch):
+    # window 101 on a 100 x 100 box packs counts up to 10^4 in 14 bits, past
+    # uint32; a sparse roi keeps the brute force's window loops short
+    img = (DetRng(60).random(100 * 100).reshape(100, 100) * 256).astype(np.uint8)
+    roi = random_mask(61, 100, 100, density=0.02)
+    roi[0, 0] = roi[-1, -1] = True
+    want = adaptive_brute(img, roi, 101, 1.0)
+    calls = count_cumsum_calls(monkeypatch)
+    assert np.array_equal(adaptive_threshold(img, roi, 101, 1.0), want)
+    assert calls == [np.uint64, np.uint64]
+
+
+def test_adaptive_threshold_roi_at_every_border_and_corner():
+    h, w = 23, 19
+    img = (DetRng(62).random(h * w).reshape(h, w) * 256).astype(np.uint8)
+    dense = random_mask(63, h, w, density=0.8)
+    rows = (slice(0, 9), slice(7, 16), slice(h - 9, h))     # top, middle, bottom
+    cols = (slice(0, 8), slice(6, 13), slice(w - 8, w))     # left, middle, right
+    for row in rows:
+        for col in cols:
+            roi = np.zeros((h, w), dtype=bool)
+            roi[row, col] = dense[row, col]
+            # the bounding box is exactly row x col: it touches no border,
+            # one, or two at a corner
+            roi[row.start, col.start] = roi[row.stop - 1, col.stop - 1] = True
+            for window in (3, 5, 15, 61):
+                assert np.array_equal(adaptive_threshold(img, roi, window, 1.0),
+                                      adaptive_brute(img, roi, window, 1.0)), (row, col, window)
+
+
+def test_adaptive_threshold_reads_nothing_outside_the_roi_bounding_box():
+    h, w = 40, 36
+    img = (DetRng(64).random(h * w).reshape(h, w) * 256).astype(np.uint8)
+    roi = np.zeros((h, w), dtype=bool)
+    roi[9:30, 5:22] = random_mask(65, 21, 17, density=0.6)
+    roi[9, 5] = roi[29, 21] = True
+    scrambled = (DetRng(66).random(h * w).reshape(h, w) * 256).astype(np.uint8)
+    scrambled[9:30, 5:22] = img[9:30, 5:22]
+    for window in (3, 15, 81):
+        want = adaptive_threshold(img, roi, window, 2.0)
+        assert np.array_equal(want, adaptive_brute(img, roi, window, 2.0))
+        assert adaptive_threshold(scrambled, roi, window, 2.0).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chestkit import synthdata
-from chestkit.metrics import dice
 from chestkit.postproc import (
     OracleSegmenter,
     connected_components,
